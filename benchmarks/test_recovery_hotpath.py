@@ -1,20 +1,20 @@
-"""The recovery hot path: verdict cache + dedup + machine pool.
+"""The recovery hot path: verdict cache + machine pool.
 
 PR 3 made crash-image materialisation O(changed bytes); on
 recovery-dominated targets the oracle is what's left of the campaign
 wall-clock (PR 4's phase attribution puts ``recovery`` at ~80% on
-rbtree).  The recovery engine attacks that share from three sides:
-pre-dispatch dedup (byte-identical prefix images verified once),
-content-addressed verdict caching (identical images across variants and
-across *campaigns* verified once), and machine-template pooling
-(recovery served by reset + image adoption instead of construction).
+rbtree).  The recovery engine attacks that share from two sides:
+content-addressed verdict caching (identical images across failure
+points, variants and *campaigns* verified once) and machine-template
+pooling (recovery served by reset + image adoption instead of
+construction).
 
 This benchmark runs the same recovery-heavy campaign three ways at each
 trace size:
 
 * ``off``    — both engine levers disabled (the legacy path);
 * ``cold``   — engine on, fresh persisted verdict cache: measures the
-  engine's overhead and the in-campaign dedup/collision wins;
+  engine's overhead and the in-campaign collision wins;
 * ``warm``   — engine on, adopting the cache the cold leg persisted:
   the re-verification scenario (``--resume``, re-running a campaign
   after a harness change) where every verdict is a hit.
@@ -30,9 +30,8 @@ Knobs (same protocol as ``test_injection_hotpath.py``):
 * ``REPRO_PERF_GATE=0`` — report the ≥2x warm-speedup gate instead of
   asserting it (shared CI runners are noisy; the gate is for local runs
   and the acceptance criteria).  The machine-speed-independent
-  assertions — identical findings, every-warm-image-a-hit, dedup
-  followers observed, cache hits visible in the obs stream — always
-  fail the job.
+  assertions — identical findings, every-warm-image-a-hit, pooled
+  machines reused — always fail the job.
 """
 
 import json
@@ -59,7 +58,8 @@ GATE_SPEEDUP = 2.0
 #: The target: rbtree's recovery walks the whole tree per injection, so
 #: the oracle dominates the campaign (~80% share) — exactly the regime
 #: the recovery engine exists for.  Dense candidate planning (no
-#: store-required reduction) gives the dedup scheduler prefix groups.
+#: store-required reduction) gives distinct failure points identical
+#: prefix images for the verdict cache to alias.
 TARGET = "rbtree"
 
 
@@ -92,7 +92,6 @@ def _run_campaign(n_ops: int, leg: str, cache_path: str):
     wall = time.perf_counter() - start
     stats = result.fault_injection.stats
     campaign = result.resources.phase_seconds["fault_injection"]
-    planned = stats.injections + stats.recovery_dedup_followers
     return result, {
         "campaign_seconds": round(campaign, 4),
         "wall_seconds": round(wall, 4),
@@ -110,11 +109,6 @@ def _run_campaign(n_ops: int, leg: str, cache_path: str):
         "cache_hits": stats.recovery_cache_hits,
         "cache_misses": stats.recovery_cache_misses,
         "cache_loaded": stats.recovery_cache_loaded,
-        "dedup_groups": stats.recovery_dedup_groups,
-        "dedup_followers": stats.recovery_dedup_followers,
-        "dedup_ratio": round(
-            stats.recovery_dedup_followers / planned, 4
-        ) if planned else 0.0,
         "pool_boots": stats.recovery_pool_boots,
         "pool_reuses": stats.recovery_pool_reuses,
     }
@@ -153,7 +147,6 @@ def test_recovery_hotpath(record_result, tmp_path):
         assert _fingerprint(off_result) == _fingerprint(warm_result)
         # The engine's own invariants, machine-speed independent:
         assert cold["cache_misses"] > 0 and cold["cache_loaded"] == 0
-        assert cold["dedup_followers"] > 0
         assert cold["pool_reuses"] > 0
         assert warm["cache_loaded"] > 0
         assert warm["cache_hits"] > 0 and warm["cache_misses"] == 0
@@ -183,13 +176,13 @@ def test_recovery_hotpath(record_result, tmp_path):
             f"{n_ops:6d} {off['injections']:5d} "
             f"{off['campaign_seconds']:8.3f}s {cold['campaign_seconds']:8.3f}s "
             f"{warm['campaign_seconds']:8.3f}s {warm_speedup:7.2f}x "
-            f"{cold['dedup_ratio']:6.1%} {warm['cache_hits']:5d}"
+            f"{warm['cache_hits']:5d}"
         )
 
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     header = (
         f"{'ops':>6} {'inj':>5} {'off':>9} {'cold':>9} {'warm':>9} "
-        f"{'speedup':>8} {'dedup':>6} {'hits':>5}"
+        f"{'speedup':>8} {'hits':>5}"
     )
     record_result(
         "recovery_hotpath",

@@ -18,6 +18,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.apps import (
@@ -27,6 +28,7 @@ from repro.apps import (
 )
 from repro.apps.bugs import bugs_for_app, default_bugs_for
 from repro.core import Mumak, MumakConfig
+from repro.errors import CheckpointError
 from repro.fabric import (
     ChaosConfig,
     ChaosSpecError,
@@ -36,6 +38,7 @@ from repro.fabric import (
 )
 from repro.pmem.faultmodel import MODELS, FaultModelConfig
 from repro.pmem.incremental import ENGINE_IMAGE_INCREMENTAL, IMAGE_ENGINES
+from repro.recovery import VerdictCacheError
 from repro.sched.config import SchedConfig
 from repro.workloads import generate_workload
 
@@ -303,8 +306,24 @@ def _cmd_analyze(args) -> int:
     if args.resume and not args.checkpoint:
         emit("--resume requires --checkpoint PATH", stream=sys.stderr)
         return 2
-    if args.shards < 1:
-        emit("--shards must be >= 1", stream=sys.stderr)
+    for flag, value, low in (
+        ("--jobs", args.jobs, 1),
+        ("--retries", args.retries, 0),
+        ("--shards", args.shards, 1),
+        ("--adversarial-samples", args.adversarial_samples, 1),
+    ):
+        if value < low:
+            emit(f"{flag} must be >= {low}", stream=sys.stderr)
+            return 2
+    if args.fleet_ttl <= 0:
+        emit("--fleet-ttl must be > 0", stream=sys.stderr)
+        return 2
+    recovery_cache = args.recovery_cache
+    if recovery_cache.lower() in ("on", "off"):
+        recovery_cache = recovery_cache.lower()
+    elif not os.path.isdir(os.path.dirname(os.path.abspath(recovery_cache))):
+        emit(f"--recovery-cache {recovery_cache}: directory does not exist",
+             stream=sys.stderr)
         return 2
     if args.chaos is not None:
         try:
@@ -343,9 +362,6 @@ def _cmd_analyze(args) -> int:
         return cls(**options)
 
     workload = generate_workload(args.ops, seed=args.seed)
-    recovery_cache = args.recovery_cache
-    if recovery_cache.lower() in ("on", "off"):
-        recovery_cache = recovery_cache.lower()
     fault_model = FaultModelConfig(
         model=args.fault_model,
         torn_writes=args.torn_writes,
@@ -410,9 +426,15 @@ def _cmd_analyze(args) -> int:
     )
     resume_from = args.checkpoint if args.resume else None
     with drain:
-        result = Mumak(config).analyze(
-            factory, workload, resume_from=resume_from
-        )
+        try:
+            result = Mumak(config).analyze(
+                factory, workload, resume_from=resume_from
+            )
+        except (CheckpointError, VerdictCacheError) as err:
+            # A missing or foreign checkpoint, or a verdict cache
+            # recorded under another scope: refusal, not a traceback.
+            emit(str(err), stream=sys.stderr)
+            return 2
     emit(result.report.render(include_warnings=not args.no_warnings))
     summary = [f"[{args.target}] trace: {result.trace_length} events"]
     if result.fault_injection is not None:
@@ -484,8 +506,7 @@ def _cmd_analyze(args) -> int:
                 "recovery cache: "
                 f"{stats.recovery_cache_hits} hits / "
                 f"{stats.recovery_cache_misses} misses "
-                f"(dedup followers: {stats.recovery_dedup_followers}, "
-                f"pool reuses: {stats.recovery_pool_reuses})"
+                f"(pool reuses: {stats.recovery_pool_reuses})"
             )
     else:
         summary.append("fault injection: skipped (trace analysis only)")

@@ -38,21 +38,21 @@ import dataclasses
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fpt import FailurePointTree
 from repro.core.harness import (
-    AdversarialImageSource,
+    CampaignImageSource,
     CampaignJournal,
     CampaignResult,
     HarnessConfig,
     InjectionResult,
     InjectionTask,
-    PrefixImageSource,
     QuarantineRecord,
     execute_injection,
-    make_finding,
     run_campaign,
+    same_injection,
+    split_resumed,
 )
 from repro.core.oracle import RecoveryOutcome, RecoveryStatus
 from repro.core.report import Finding, ModelComparison
@@ -77,6 +77,12 @@ from repro.pmem.incremental import (
     validate_image_engine,
 )
 from repro.pmem.machine import PMachine
+from repro.recovery import (
+    RecoveryEngine,
+    RecoveryEngineStats,
+    persisted_write_extent,
+)
+from repro.recovery.engine import CACHE_SUFFIX
 
 ENGINE_TRACE = "trace"
 ENGINE_REPLAY = "replay"
@@ -159,8 +165,6 @@ class FaultInjectionStats:
     recovery_cache_misses: int = 0
     recovery_cache_stored: int = 0
     recovery_cache_loaded: int = 0
-    recovery_dedup_groups: int = 0
-    recovery_dedup_followers: int = 0
     recovery_pool_boots: int = 0
     recovery_pool_reuses: int = 0
 
@@ -170,8 +174,6 @@ class FaultInjectionStats:
         self.recovery_cache_misses += stats.cache_misses
         self.recovery_cache_stored += stats.cache_stored
         self.recovery_cache_loaded += stats.cache_loaded
-        self.recovery_dedup_groups += stats.dedup_groups
-        self.recovery_dedup_followers += stats.dedup_followers
         self.recovery_pool_boots += stats.pool_boots
         self.recovery_pool_reuses += stats.pool_reuses
 
@@ -225,8 +227,6 @@ class FaultInjectionStats:
             "recovery_cache_misses": self.recovery_cache_misses,
             "recovery_cache_stored": self.recovery_cache_stored,
             "recovery_cache_loaded": self.recovery_cache_loaded,
-            "recovery_dedup_groups": self.recovery_dedup_groups,
-            "recovery_dedup_followers": self.recovery_dedup_followers,
             "recovery_pool_boots": self.recovery_pool_boots,
             "recovery_pool_reuses": self.recovery_pool_reuses,
         }
@@ -271,8 +271,51 @@ class FaultInjectionResult:
     drained: bool = False
 
 
+@dataclass
+class DetectionRun:
+    """One instrumented execution's products, which injection plans from.
+
+    Detection always yields a list of runs: one with ``sched == -1`` for
+    an ordinary campaign, one per schedule sample under ``--sched``
+    (:class:`repro.sched.campaign.ScheduleRun`).  Every task carries its
+    run's ``sched`` id, and the campaign's image source dispatches on it.
+    """
+
+    sched: int
+    #: The event trace crash images are built from.
+    trace: List[MemoryEvent] = field(default_factory=list)
+    tree: FailurePointTree = field(default_factory=FailurePointTree)
+    initial_image: bytes = b""
+    #: Failure-point candidates the observer saw.
+    candidates: int = 0
+    #: Simulated threads the run was scheduled over (0 = unscheduled).
+    threads: int = 0
+
+
+def _distributable(tasks, resume_state, base_records):
+    """The resume filter of a distributed campaign: the tasks to hand
+    out, the indices a checkpoint already holds, and the raw records the
+    merge starts from."""
+    todo, restored = split_resumed(tasks, resume_state)
+    base_records = dict(base_records or {})
+    for task in todo:
+        # A stale record for a task that must re-run would shadow the
+        # fresh result at merge time (first-writer wins); drop it so the
+        # new record is the only one.
+        base_records.pop(task.index, None)
+    return todo, {result.task.index for result in restored}, base_records
+
+
 class FaultInjector:
-    """Configurable fault-injection engine."""
+    """Configurable fault-injection engine.
+
+    Every campaign takes one path: detect a list of runs, :meth:`plan`
+    them into tasks served by one image source, execute the tasks —
+    in this process (:meth:`inject`), across shard processes
+    (:meth:`inject_sharded`), or across fleet hosts
+    (:meth:`inject_fleet`) — and fold the results into one
+    :class:`FaultInjectionResult`.
+    """
 
     def __init__(
         self,
@@ -312,9 +355,9 @@ class FaultInjector:
         #: across the two (property-tested).
         self.image_engine = validate_image_engine(image_engine)
         #: Recovery-engine config (:class:`repro.recovery.
-        #: RecoveryEngineConfig`) — verdict cache + machine pool +
-        #: dedup scheduling.  ``None`` (or a disabled config) keeps the
-        #: legacy per-point recovery path byte-for-byte.
+        #: RecoveryEngineConfig`) — verdict cache + machine pool.
+        #: ``None`` (or a disabled config) runs every recovery on a
+        #: freshly booted machine with no cache.
         self.recovery = recovery
         #: Graceful-drain request (a :class:`threading.Event`, typically
         #: owned by a :class:`repro.fabric.DrainController`).  When set,
@@ -325,15 +368,42 @@ class FaultInjector:
         #: 0 = off).
         self.stall_window = stall_window
 
-    def _recovery_engine(self, trace=None):
-        """A campaign-scoped RecoveryEngine, or None when disabled."""
+    # ------------------------------------------------------------------ #
+    # the shared campaign pieces
+    # ------------------------------------------------------------------ #
+
+    def recovery_engine(self, runs, journal_path=None, donors=()):
+        """The recovery engine of a campaign over ``runs``, or None when
+        disabled.
+
+        Digests cover the union of every run's persisted-write extent, so
+        two crash images that agree on every byte any run ever persisted
+        — equivalent interleavings, DPOR-style — collapse to one verdict
+        within and across runs, and every engine of one campaign (local,
+        shard, or fleet slice) hashes the same bytes.  With
+        ``journal_path`` the engine serves one shard or fleet slice
+        (:meth:`repro.recovery.RecoveryEngine.for_slice`).
+        """
         if self.recovery is None or not self.recovery.enabled:
             return None
-        from repro.recovery import RecoveryEngine
-
-        return RecoveryEngine(
-            self.recovery, trace=trace, telemetry=self.telemetry
+        extent = persisted_write_extent(
+            event for run in runs for event in run.trace
         )
+        if journal_path is not None:
+            return RecoveryEngine.for_slice(
+                self.recovery, extent, journal_path, donors
+            )
+        return RecoveryEngine(
+            self.recovery, extent=extent, telemetry=self.telemetry
+        )
+
+    def _campaign_cache(self) -> List[str]:
+        """The campaign-wide verdict cache file, if one persists (as a
+        list: every shard or slice engine adopts it as a donor)."""
+        if self.recovery is None or not self.recovery.enabled:
+            return []
+        path = self.recovery.cache_path
+        return [path] if path is not None else []
 
     def _close_recovery(self, engine, stats) -> None:
         if engine is None:
@@ -343,190 +413,35 @@ class FaultInjector:
         if self.telemetry.enabled:
             engine_stats.publish(self.telemetry.registry)
 
-    # ------------------------------------------------------------------ #
-    # public entry point
-    # ------------------------------------------------------------------ #
-
-    def run(
-        self,
-        app_factory: Callable[[], Any],
-        workload: Sequence,
-        seed: int = 0,
-        journal: Optional[CampaignJournal] = None,
-        resume_state: Optional[Dict[int, InjectionResult]] = None,
-    ) -> FaultInjectionResult:
-        tree, trace, initial_image = self._detect(app_factory, workload, seed)
-        return self.inject(
-            app_factory,
-            workload,
-            tree,
-            trace,
-            initial_image,
-            seed=seed,
-            candidates=self._candidates,
-            journal=journal,
-            resume_state=resume_state,
+    def _stats(self, runs, **fabric) -> FaultInjectionStats:
+        """A campaign's bookkeeping, seeded from its detection runs."""
+        return FaultInjectionStats(
+            candidates=sum(run.candidates for run in runs),
+            unique_failure_points=sum(
+                run.tree.failure_point_count for run in runs
+            ),
+            trace_length=sum(len(run.trace) for run in runs),
+            executions=len(runs),
+            schedules=len(runs) if runs[0].sched >= 0 else 0,
+            sched_threads=runs[0].threads,
+            **fabric,
         )
 
-    def inject(
-        self,
-        app_factory: Callable[[], Any],
-        workload: Sequence,
-        tree: FailurePointTree,
-        trace: Sequence[MemoryEvent],
-        initial_image: bytes,
-        seed: int = 0,
-        candidates: int = 0,
-        journal: Optional[CampaignJournal] = None,
-        resume_state: Optional[Dict[int, InjectionResult]] = None,
-    ) -> FaultInjectionResult:
-        """Injection against an already-built tree/trace (pipeline entry)."""
-        stats = FaultInjectionStats(
-            candidates=candidates,
-            unique_failure_points=tree.failure_point_count,
-            trace_length=len(trace),
-            executions=1,
-        )
-        if self.engine == ENGINE_TRACE:
-            return self._inject_from_trace(
-                app_factory,
-                tree,
-                trace,
-                initial_image,
-                stats,
-                journal=journal,
-                resume_state=resume_state,
-            )
-        return self._inject_by_replay(app_factory, workload, seed, tree, stats)
+    def plan(self, runs) -> Tuple[CampaignImageSource, List[InjectionTask]]:
+        """The campaign's image source and its deterministic task plan.
 
-    # ------------------------------------------------------------------ #
-    # step 1: detection
-    # ------------------------------------------------------------------ #
-
-    def _detect(self, app_factory, workload, seed):
-        tree = FailurePointTree()
-
-        def on_candidate(stack, event: MemoryEvent):
-            tree.insert(stack, seq=event.seq)
-
-        observer = FailurePointObserver(
-            on_candidate,
-            granularity=self.granularity,
-            require_store_since_last=self.require_store_since_last,
-        )
-        tracer = MinimalTracer()
-        artifacts = run_instrumented(
-            app_factory, workload, hooks=[tracer, observer], seed=seed
-        )
-        self._candidates = observer.candidates_seen
-        return tree, tracer.events, artifacts.initial_image
-
-    # ------------------------------------------------------------------ #
-    # step 2+3, trace engine (through the hardened campaign runner)
-    # ------------------------------------------------------------------ #
-
-    def _make_source(self, trace, initial_image):
-        """The campaign's crash-image source for the configured model."""
-        if self.fault_model.is_adversarial:
-            return AdversarialImageSource(
-                initial_image, trace, self.fault_model,
-                image_engine=self.image_engine,
-            )
-        return PrefixImageSource(
-            initial_image, trace, image_engine=self.image_engine
-        )
-
-    def _plan_tasks(self, tree, source) -> List[InjectionTask]:
-        """The deterministic injection plan: one prefix task per failure
-        point (first, so finding dedup attributes dual-reachable bugs to
-        the graceful crash), adversarial variants riding after.
-
-        Planning shares the source's factory so the adversarial families
-        consume the same memoized history pass the cursors use.
+        Runs contribute in order with contiguous task indices, so
+        journal and fabric identity (``task.index``) is campaign-wide;
+        each task also carries its run's schedule id.  Within a run:
+        one prefix task per failure point (first, so finding dedup
+        attributes dual-reachable bugs to the graceful crash),
+        adversarial variants riding after.  Planning shares each run
+        source's factory, so the adversarial families consume the same
+        memoized history pass the cursors use.
         """
-        planner = (
-            source.factory if self.fault_model.is_adversarial else None
+        source = CampaignImageSource(
+            runs, fault_model=self.fault_model, image_engine=self.image_engine
         )
-        tasks: List[InjectionTask] = []
-
-        def room() -> bool:
-            return self.max_injections is None or (
-                len(tasks) < self.max_injections
-            )
-
-        with self.telemetry.span(
-            "campaign/injection/planner", engine=self.image_engine
-        ):
-            for stack, node in tree.failure_points():
-                if not room():
-                    break
-                node.visited = True
-                tasks.append(
-                    InjectionTask(
-                        index=len(tasks), stack=stack, seq=node.first_seq
-                    )
-                )
-                if planner is not None:
-                    for variant in planner.plan(node.first_seq):
-                        if not room():
-                            break
-                        tasks.append(
-                            InjectionTask(
-                                index=len(tasks),
-                                stack=stack,
-                                seq=node.first_seq,
-                                variant=variant,
-                            )
-                        )
-        return tasks
-
-    def _inject_from_trace(
-        self,
-        app_factory,
-        tree,
-        trace,
-        initial_image,
-        stats,
-        journal=None,
-        resume_state=None,
-    ) -> FaultInjectionResult:
-        source = self._make_source(trace, initial_image)
-        tasks = self._plan_tasks(tree, source)
-        recovery_engine = self._recovery_engine(trace=trace)
-        campaign = run_campaign(
-            tasks,
-            source,
-            app_factory,
-            config=self.harness,
-            journal=journal,
-            resume_state=resume_state,
-            telemetry=self.telemetry,
-            heartbeat=self._heartbeat(len(tasks)),
-            recovery=recovery_engine,
-            stop=self.stop,
-        )
-        self._close_recovery(recovery_engine, stats)
-        collected = source.collect_stats()
-        stats.absorb_image_stats(collected)
-        if self.telemetry.enabled:
-            collected.publish(
-                self.telemetry.registry, engine=self.image_engine
-            )
-        return self._collect(campaign, stats, tree)
-
-    # ------------------------------------------------------------------ #
-    # step 2+3, trace engine over schedule samples (repro.sched)
-    # ------------------------------------------------------------------ #
-
-    def _plan_sched_tasks(self, runs, source) -> List[InjectionTask]:
-        """The deterministic plan of a scheduled campaign.
-
-        Samples contribute in schedule order with globally contiguous
-        task indices, so journal/fabric identity (``task.index``) works
-        unchanged; each task additionally carries its schedule id.  The
-        per-point layout inside a sample matches :meth:`_plan_tasks`
-        exactly (prefix first, adversarial variants riding after).
-        """
         adversarial = self.fault_model.is_adversarial
         tasks: List[InjectionTask] = []
 
@@ -567,89 +482,7 @@ class FaultInjector:
                                     sched=run.sched,
                                 )
                             )
-        return tasks
-
-    def _sched_recovery_engine(self, runs):
-        """A RecoveryEngine spanning every schedule sample, or None.
-
-        The digest extent is the *union* of the samples' persisted-write
-        extents, so two crash images that agree on every byte any sample
-        ever persisted — equivalent interleavings, DPOR-style — collapse
-        to one verdict-cache digest within and across samples.
-        """
-        if self.recovery is None or not self.recovery.enabled:
-            return None
-        from repro.recovery import RecoveryEngine
-        from repro.sched.campaign import union_extent, write_seqs_by_sched
-
-        return RecoveryEngine(
-            self.recovery,
-            write_seqs=write_seqs_by_sched(runs),
-            extent=union_extent(runs),
-            telemetry=self.telemetry,
-        )
-
-    def inject_scheduled(
-        self,
-        app_factory,
-        runs,
-        threads: int = 0,
-        candidates: int = 0,
-        journal: Optional[CampaignJournal] = None,
-        resume_state: Optional[Dict[int, InjectionResult]] = None,
-    ) -> FaultInjectionResult:
-        """Injection over pre-detected schedule samples (pipeline entry).
-
-        ``runs`` is the :func:`repro.sched.campaign.detect_schedules`
-        output: per-sample traces, trees, and initial images.  Everything
-        downstream of planning reuses the single-threaded campaign
-        machinery verbatim — tasks dispatch to their sample's image
-        source by schedule id, and journals/checkpoints order records by
-        ``(sched, index)``.
-        """
-        from repro.sched.campaign import MultiScheduleSource
-
-        if self.engine != ENGINE_TRACE:
-            raise ValueError(
-                "scheduled campaigns require the trace engine; the replay "
-                "engine re-executes the target per failure point and has "
-                "no notion of a recorded interleaving"
-            )
-        stats = FaultInjectionStats(
-            candidates=candidates,
-            unique_failure_points=sum(
-                run.tree.failure_point_count for run in runs
-            ),
-            trace_length=sum(len(run.trace) for run in runs),
-            executions=len(runs),
-            schedules=len(runs),
-            sched_threads=threads,
-        )
-        source = MultiScheduleSource(
-            runs, fault_model=self.fault_model, image_engine=self.image_engine
-        )
-        tasks = self._plan_sched_tasks(runs, source)
-        recovery_engine = self._sched_recovery_engine(runs)
-        campaign = run_campaign(
-            tasks,
-            source,
-            app_factory,
-            config=self.harness,
-            journal=journal,
-            resume_state=resume_state,
-            telemetry=self.telemetry,
-            heartbeat=self._heartbeat(len(tasks)),
-            recovery=recovery_engine,
-            stop=self.stop,
-        )
-        self._close_recovery(recovery_engine, stats)
-        collected = source.collect_stats()
-        stats.absorb_image_stats(collected)
-        if self.telemetry.enabled:
-            collected.publish(
-                self.telemetry.registry, engine=self.image_engine
-            )
-        return self._collect(campaign, stats, runs[0].tree)
+        return source, tasks
 
     def _heartbeat(self, total: int) -> Optional[HeartbeatMonitor]:
         """A live progress monitor, or None when inert (no telemetry and
@@ -664,30 +497,101 @@ class FaultInjector:
         return monitor if monitor.active else None
 
     # ------------------------------------------------------------------ #
-    # step 2+3, trace engine across shard processes (repro.fabric)
+    # step 1: detection
     # ------------------------------------------------------------------ #
+
+    def detect(self, app_factory, workload, seed: int = 0) -> DetectionRun:
+        """One instrumented run: the failure point tree and the trace."""
+        tree = FailurePointTree()
+        observer = FailurePointObserver(
+            lambda stack, event: tree.insert(stack, seq=event.seq),
+            granularity=self.granularity,
+            require_store_since_last=self.require_store_since_last,
+        )
+        tracer = MinimalTracer()
+        artifacts = run_instrumented(
+            app_factory, workload, hooks=[tracer, observer], seed=seed
+        )
+        return DetectionRun(
+            sched=-1,
+            trace=tracer.events,
+            tree=tree,
+            initial_image=artifacts.initial_image,
+            candidates=observer.candidates_seen,
+        )
+
+    # ------------------------------------------------------------------ #
+    # steps 2+3: execute the plan
+    # ------------------------------------------------------------------ #
+
+    def run(
+        self,
+        app_factory: Callable[[], Any],
+        workload: Sequence,
+        seed: int = 0,
+        journal: Optional[CampaignJournal] = None,
+        resume_state: Optional[Dict[int, InjectionResult]] = None,
+    ) -> FaultInjectionResult:
+        """Detection, then injection in this process."""
+        return self.inject(
+            app_factory,
+            [self.detect(app_factory, workload, seed)],
+            workload=workload,
+            seed=seed,
+            journal=journal,
+            resume_state=resume_state,
+        )
+
+    def inject(
+        self,
+        app_factory: Callable[[], Any],
+        runs: Sequence[DetectionRun],
+        workload: Sequence = (),
+        seed: int = 0,
+        journal: Optional[CampaignJournal] = None,
+        resume_state: Optional[Dict[int, InjectionResult]] = None,
+    ) -> FaultInjectionResult:
+        """Injection over detected runs, in this process (serial, or
+        ``--jobs`` worker threads).  ``workload``/``seed`` serve only the
+        replay engine, which re-executes the target per failure point."""
+        stats = self._stats(runs)
+        if self.engine == ENGINE_REPLAY:
+            return self._inject_by_replay(
+                app_factory, workload, seed, runs, stats
+            )
+        source, tasks = self.plan(runs)
+        engine = self.recovery_engine(runs)
+        campaign = run_campaign(
+            tasks,
+            source,
+            app_factory,
+            config=self.harness,
+            journal=journal,
+            resume_state=resume_state,
+            telemetry=self.telemetry,
+            heartbeat=self._heartbeat(len(tasks)),
+            recovery=engine,
+            stop=self.stop,
+        )
+        self._close_recovery(engine, stats)
+        return self._collect(campaign, stats, runs, source)
 
     def inject_sharded(
         self,
         app_factory,
-        workload,
-        tree,
-        trace,
-        initial_image,
+        runs: Sequence[DetectionRun],
         fabric,
         checkpoint_path: str,
         fingerprint: str,
         seed: int = 0,
-        candidates: int = 0,
         resume_state: Optional[Dict[int, InjectionResult]] = None,
         base_records: Optional[Dict[int, dict]] = None,
-        runs=None,
     ) -> FaultInjectionResult:
-        """Run the trace-engine campaign across shard *processes*.
+        """Run the campaign across shard *processes*.
 
-        ``fabric`` is a :class:`repro.fabric.FabricConfig`; the failure
-        points are partitioned deterministically across its shards, each
-        shard journals its slice to ``<checkpoint_path>.shardK`` (with a
+        ``fabric`` is a :class:`repro.fabric.FabricConfig`; the tasks are
+        partitioned deterministically across its shards, each shard
+        journals its slice to ``<checkpoint_path>.shardK`` (with a
         per-shard verdict cache), and the supervisor merges everything
         back into ``checkpoint_path`` — byte-identical to the journal a
         serial run writes, whatever workers die along the way.
@@ -698,96 +602,17 @@ class FaultInjector:
         (timings are process-local and deliberately unserialised); all
         other accounting — including per-shard image and recovery-engine
         stats — is relayed back best-effort.
-
-        ``runs`` switches the campaign to scheduled mode: the plan comes
-        from the per-sample trees (``tree``/``trace``/``initial_image``
-        are ignored and may be None) and each shard materialises images
-        from its tasks' own samples.  Shard partitioning, journaling,
-        and the merge are oblivious to schedules — global task indices
-        keep them working unchanged.
         """
         # Lazy: repro.fabric depends on this package's harness module.
-        from repro.fabric import (
-            ShardSupervisor,
-            cleanup_shard_artifacts,
-            find_shard_journals,
-            merge_vcaches,
+        from repro.fabric import ShardSupervisor
+
+        stats = self._stats(runs, shards=fabric.shards)
+        source, tasks = self.plan(runs)
+        todo, restored, base_records = _distributable(
+            tasks, resume_state, base_records
         )
-        from repro.recovery import RecoveryEngine
-        from repro.recovery.cache import VerdictCacheError
-        from repro.recovery.engine import CACHE_SUFFIX, RecoveryEngineStats
-
-        if self.engine != ENGINE_TRACE:
-            raise ValueError(
-                "sharded campaigns require the trace engine; the replay "
-                "engine discovers failure points by re-execution and is "
-                "inherently serial"
-            )
-        stats = FaultInjectionStats(
-            candidates=candidates,
-            executions=1,
-            shards=fabric.shards,
-        )
-        if runs is not None:
-            from repro.sched.campaign import MultiScheduleSource
-
-            stats.unique_failure_points = sum(
-                run.tree.failure_point_count for run in runs
-            )
-            stats.trace_length = sum(len(run.trace) for run in runs)
-            stats.executions = len(runs)
-            stats.schedules = len(runs)
-            source = MultiScheduleSource(
-                runs,
-                fault_model=self.fault_model,
-                image_engine=self.image_engine,
-            )
-            tasks = self._plan_sched_tasks(runs, source)
-        else:
-            stats.unique_failure_points = tree.failure_point_count
-            stats.trace_length = len(trace)
-            source = self._make_source(trace, initial_image)
-            tasks = self._plan_tasks(tree, source)
-        resume_state = resume_state or {}
-        base_records = dict(base_records or {})
-        todo: List[InjectionTask] = []
-        restored_indices: Set[int] = set()
-        for task in tasks:
-            restored = resume_state.get(task.index)
-            if (
-                restored is not None
-                and restored.task.stack == task.stack
-                and restored.task.variant == task.variant
-                and getattr(restored.task, "sched", -1) == task.sched
-            ):
-                restored_indices.add(task.index)
-            else:
-                todo.append(task)
-                # A stale record for a task that must re-run would
-                # shadow the fresh result at merge time (first-writer
-                # wins); drop it so the shard's record is the only one.
-                base_records.pop(task.index, None)
-
         harness = self.harness
-        recovery_cfg = (
-            self.recovery
-            if self.recovery is not None and self.recovery.enabled
-            else None
-        )
-        main_cache_path = (
-            recovery_cfg.cache_path if recovery_cfg is not None else None
-        )
-        if runs is not None:
-            from repro.sched.campaign import union_extent, write_seqs_by_sched
-
-            # Every shard engine digests over the same union extent, so
-            # cross-sample aliases hash identically in every process.
-            engine_kwargs = dict(
-                write_seqs=write_seqs_by_sched(runs),
-                extent=union_extent(runs),
-            )
-        else:
-            engine_kwargs = dict(trace=trace)
+        donors = self._campaign_cache()
 
         def worker_body(shard_id, shard_tasks, journal_path, beacon, stop):
             """Runs inside the forked shard: the ordinary in-process
@@ -799,35 +624,10 @@ class FaultInjector:
             # the parent's planning-time numbers; relay only what THIS
             # shard adds, or the parent would count planning per shard.
             image_baseline = dataclasses.asdict(source.collect_stats())
-            engine = None
+            # Zero re-verification on resume: every verdict the
+            # drained/crashed campaign persisted replays from memory.
+            engine = self.recovery_engine(runs, journal_path, donors)
             engine_stats = None
-            if recovery_cfg is not None:
-                shard_cfg = dataclasses.replace(
-                    recovery_cfg,
-                    cache_path=(
-                        journal_path + CACHE_SUFFIX
-                        if recovery_cfg.cache_enabled
-                        else None
-                    ),
-                )
-                try:
-                    engine = RecoveryEngine(shard_cfg, **engine_kwargs)
-                except VerdictCacheError:
-                    # A SIGKILL (chaos or operator) can tear the shard
-                    # cache's header line.  The cache is an accelerator,
-                    # never ground truth — rebuild it from scratch.
-                    if shard_cfg.cache_path is not None:
-                        try:
-                            os.remove(shard_cfg.cache_path)
-                        except FileNotFoundError:
-                            pass
-                    engine = RecoveryEngine(shard_cfg, **engine_kwargs)
-                if engine.cache is not None and main_cache_path is not None:
-                    # Zero re-verification on resume: every verdict the
-                    # drained/crashed campaign persisted replays from
-                    # memory.
-                    engine.cache.adopt(main_cache_path)
-                    engine.stats.cache_loaded = engine.cache.loaded
             try:
                 run_campaign(
                     shard_tasks,
@@ -877,7 +677,7 @@ class FaultInjector:
             seed,
             config=fabric,
             base_records=base_records,
-            restored_indices=restored_indices,
+            restored_indices=restored,
             telemetry=self.telemetry,
             heartbeat=self._heartbeat(len(todo)),
             stop=self.stop,
@@ -888,75 +688,29 @@ class FaultInjector:
         stats.shard_deaths = fabric_result.stats.deaths
         stats.shard_respawns = fabric_result.stats.respawns
         stats.chaos_kills = fabric_result.stats.chaos_kills
-
-        # Fold the shard verdict caches into the campaign-wide cache,
-        # then retire every shard artifact (the merged journal + cache
-        # are now the single source of truth, drained or complete).
-        if main_cache_path is not None:
-            merge_vcaches(
-                main_cache_path,
-                recovery_cfg.scope,
-                [
-                    path + CACHE_SUFFIX
-                    for path in find_shard_journals(checkpoint_path)
-                ],
-            )
-        cleanup_shard_artifacts(checkpoint_path)
-
-        # Planning-time image accounting happened in this process; the
-        # per-shard execution accounting arrived via the stats relay.
-        planning_stats = source.collect_stats()
-        stats.absorb_image_stats(planning_stats)
-        if self.telemetry.enabled:
-            planning_stats.publish(
-                self.telemetry.registry, engine=self.image_engine
-            )
-
-        planned = {task.index: task for task in tasks}
-        results = []
-        for result in fabric_result.results:
-            task = planned.get(result.task.index)
-            if (
-                task is None
-                or task.stack != result.task.stack
-                or task.variant != result.task.variant
-                or getattr(result.task, "sched", -1) != task.sched
-            ):
-                # Journal records beyond this campaign's plan (kept in
-                # the merged journal, exactly as a serial append-mode
-                # journal keeps them) are not campaign results.
-                continue
-            results.append(result)
-        campaign = CampaignResult(
-            results=results, drained=fabric_result.drained
-        )
-        return self._collect(
-            campaign, stats, runs[0].tree if runs is not None else tree
+        return self._fold_distributed(
+            fabric_result, stats, runs, source, tasks, checkpoint_path
         )
 
     def inject_fleet(
         self,
         app_factory,
-        workload,
-        tree,
-        trace,
-        initial_image,
+        runs: Sequence[DetectionRun],
         fleet,
         checkpoint_path: str,
         fingerprint: str,
         fingerprint_payload: dict,
         spec: dict,
         seed: int = 0,
-        candidates: int = 0,
         resume_state: Optional[Dict[int, InjectionResult]] = None,
         base_records: Optional[Dict[int, dict]] = None,
     ) -> FaultInjectionResult:
-        """Run the trace-engine campaign across worker *hosts*.
+        """Run the campaign across worker *hosts*.
 
         ``fleet`` is a :class:`repro.fabric.fleet.FleetConfig`; the
-        failure points are partitioned into lease-able slices published
-        over the fleet transport, remote workers (``mumak fleet worker``)
-        execute and ship them back, and the supervisor folds deliveries
+        tasks are partitioned into lease-able slices published over the
+        fleet transport, remote workers (``mumak fleet worker``) execute
+        and ship them back, and the supervisor folds deliveries
         idempotently into ``checkpoint_path`` — byte-identical to the
         serial journal whatever the transport drops, duplicates, or
         tears.  With no live workers the campaign degrades to local
@@ -968,54 +722,15 @@ class FaultInjector:
         from, shipped so workers can refuse a tampered manifest.
         """
         # Lazy: repro.fabric depends on this package's harness module.
-        from repro.fabric import cleanup_shard_artifacts, merge_vcaches
         from repro.fabric.fleet import FleetSupervisor
-        from repro.recovery import RecoveryEngine
-        from repro.recovery.cache import VerdictCacheError
-        from repro.recovery.engine import CACHE_SUFFIX
 
-        if self.engine != ENGINE_TRACE:
-            raise ValueError(
-                "fleet campaigns require the trace engine; the replay "
-                "engine discovers failure points by re-execution and is "
-                "inherently serial"
-            )
-        stats = FaultInjectionStats(
-            candidates=candidates,
-            unique_failure_points=tree.failure_point_count,
-            trace_length=len(trace),
-            executions=1,
-            fleet_slices=fleet.slices,
+        stats = self._stats(runs, fleet_slices=fleet.slices)
+        source, tasks = self.plan(runs)
+        todo, restored, base_records = _distributable(
+            tasks, resume_state, base_records
         )
-        source = self._make_source(trace, initial_image)
-        tasks = self._plan_tasks(tree, source)
-        resume_state = resume_state or {}
-        base_records = dict(base_records or {})
-        todo: List[InjectionTask] = []
-        restored_indices: Set[int] = set()
-        for task in tasks:
-            restored = resume_state.get(task.index)
-            if (
-                restored is not None
-                and restored.task.stack == task.stack
-                and restored.task.variant == task.variant
-            ):
-                restored_indices.add(task.index)
-            else:
-                todo.append(task)
-                # Same staleness rule as the shard merge: a record for a
-                # task that must re-run would shadow the fresh result.
-                base_records.pop(task.index, None)
-
         harness = self.harness
-        recovery_cfg = (
-            self.recovery
-            if self.recovery is not None and self.recovery.enabled
-            else None
-        )
-        main_cache_path = (
-            recovery_cfg.cache_path if recovery_cfg is not None else None
-        )
+        donors = self._campaign_cache()
 
         def local_runner(slice_id, slice_tasks, journal_path, stop):
             """The degradation path: one fleet slice, in this process,
@@ -1024,38 +739,12 @@ class FaultInjector:
             journal = CampaignJournal(
                 journal_path, fingerprint, seed=seed, interval=1
             )
-            engine = None
-            if recovery_cfg is not None:
-                local_cfg = dataclasses.replace(
-                    recovery_cfg,
-                    cache_path=(
-                        journal_path + CACHE_SUFFIX
-                        if recovery_cfg.cache_enabled
-                        else None
-                    ),
-                )
-                try:
-                    engine = RecoveryEngine(local_cfg, trace=trace)
-                except VerdictCacheError:
-                    if local_cfg.cache_path is not None:
-                        try:
-                            os.remove(local_cfg.cache_path)
-                        except FileNotFoundError:
-                            pass
-                    engine = RecoveryEngine(local_cfg, trace=trace)
-                if engine.cache is not None:
-                    if main_cache_path is not None:
-                        engine.cache.adopt(main_cache_path)
-                    # Verdicts that made it back over the transport are
-                    # just as good locally — zero re-verification for
-                    # work a dead fleet already did.
-                    for spool in supervisor.vcache_paths:
-                        try:
-                            with open(spool, "rb") as fh:
-                                engine.cache.adopt_bytes(fh.read())
-                        except OSError:
-                            continue
-                    engine.stats.cache_loaded = engine.cache.loaded
+            # Verdicts that made it back over the transport are just as
+            # good locally — zero re-verification for work a dead fleet
+            # already did.
+            engine = self.recovery_engine(
+                runs, journal_path, donors + supervisor.vcache_paths
+            )
             try:
                 run_campaign(
                     slice_tasks,
@@ -1082,7 +771,7 @@ class FaultInjector:
             spec=spec,
             local_runner=local_runner,
             base_records=base_records,
-            restored_indices=restored_indices,
+            restored_indices=restored,
             telemetry=self.telemetry,
             heartbeat=self._heartbeat(len(todo)),
             stop=self.stop,
@@ -1097,74 +786,29 @@ class FaultInjector:
         stats.fleet_duplicate_tasks = folded.duplicate_tasks
         stats.fleet_transport_retries = folded.transport_retries
         stats.fleet_local_fallback_tasks = folded.local_fallback_tasks
-
-        # Fold every delivered (and local-fallback) verdict cache into
-        # the campaign-wide cache: duplicated deliveries replay from it
-        # on resume instead of re-verifying.  A donor torn in flight is
-        # an accelerator lost, never an error.
-        if main_cache_path is not None:
-            from repro.fabric import find_shard_journals
-
-            donors = [
-                path + CACHE_SUFFIX
-                for path in find_shard_journals(checkpoint_path)
-            ]
-            donors.extend(fleet_result.vcache_paths)
-            for donor in donors:
-                try:
-                    merge_vcaches(main_cache_path, recovery_cfg.scope, [donor])
-                except VerdictCacheError:
-                    continue
-        for spool in fleet_result.vcache_paths:
-            try:
-                os.remove(spool)
-            except FileNotFoundError:
-                pass
-        cleanup_shard_artifacts(checkpoint_path)
-
-        # All image accounting (planning + any local fallback) happened
-        # in this process; remote execution accounts on the remote host.
-        planning_stats = source.collect_stats()
-        stats.absorb_image_stats(planning_stats)
-        if self.telemetry.enabled:
-            planning_stats.publish(
-                self.telemetry.registry, engine=self.image_engine
-            )
-
-        planned = {task.index: task for task in tasks}
-        results = []
-        for result in fleet_result.results:
-            task = planned.get(result.task.index)
-            if (
-                task is None
-                or task.stack != result.task.stack
-                or task.variant != result.task.variant
-            ):
-                continue
-            results.append(result)
-        campaign = CampaignResult(
-            results=results, drained=fleet_result.drained
+        return self._fold_distributed(
+            fleet_result, stats, runs, source, tasks, checkpoint_path,
+            spools=fleet_result.vcache_paths,
         )
-        return self._collect(campaign, stats, tree)
 
     # ------------------------------------------------------------------ #
     # step 2+3, replay engine
     # ------------------------------------------------------------------ #
 
     def _inject_by_replay(
-        self, app_factory, workload, seed, tree, stats
+        self, app_factory, workload, seed, runs, stats
     ) -> FaultInjectionResult:
         # The replay engine re-executes the target per failure point and
         # shares visited-marking state through the tree, so it runs
         # serially; each recovery still goes through watchdog + contain-
         # ment, so a pathological target cannot stall the campaign.
         adversarial = self.fault_model.is_adversarial
+        tree = runs[0].tree
         campaign = CampaignResult()
         index = 0
-        # The replay engine discovers each failure point by re-executing
-        # the target, so pre-dispatch grouping is impossible; the verdict
-        # cache and machine pool still apply per point.
-        recovery_engine = self._recovery_engine()
+        # No trace to bound digests by: the verdict cache hashes whole
+        # images (the machine pool applies as usual).
+        recovery_engine = self.recovery_engine(())
         session = (
             recovery_engine.session() if recovery_engine is not None else None
         )
@@ -1241,16 +885,78 @@ class FaultInjector:
                     campaign.results.append(result)
                 stats.absorb_image_stats(replay_image_stats)
         self._close_recovery(recovery_engine, stats)
-        return self._collect(campaign, stats, tree)
+        return self._collect(campaign, stats, runs)
 
     # ------------------------------------------------------------------ #
+    # the fold
+    # ------------------------------------------------------------------ #
+
+    def _fold_distributed(
+        self, result, stats, runs, source, tasks, checkpoint_path, spools=()
+    ) -> FaultInjectionResult:
+        """Fold a shard or fleet campaign back into one.
+
+        Every shard and delivered verdict cache joins the campaign-wide
+        cache (duplicated deliveries then replay from it on resume
+        instead of re-verifying), every shard artifact is retired (the
+        merged journal and cache are now the single source of truth,
+        drained or complete), and only results of this campaign's plan
+        are kept: records beyond it stay in the merged journal, exactly
+        as a serial append-mode journal keeps them, but are not campaign
+        results.
+        """
+        # Lazy: repro.fabric depends on this package's harness module.
+        from repro.fabric import (
+            cleanup_shard_artifacts,
+            find_shard_journals,
+            merge_vcaches,
+        )
+
+        for campaign_cache in self._campaign_cache():
+            merge_vcaches(
+                campaign_cache,
+                self.recovery.scope,
+                [
+                    path + CACHE_SUFFIX
+                    for path in find_shard_journals(checkpoint_path)
+                ]
+                + list(spools),
+            )
+        for spool in spools:
+            try:
+                os.remove(spool)
+            except FileNotFoundError:
+                pass
+        cleanup_shard_artifacts(checkpoint_path)
+        planned = {task.index: task for task in tasks}
+        campaign = CampaignResult(
+            results=[
+                done
+                for done in result.results
+                if done.task.index in planned
+                and same_injection(done.task, planned[done.task.index])
+            ],
+            drained=result.drained,
+        )
+        return self._collect(campaign, stats, runs, source)
 
     def _collect(
         self,
         campaign: CampaignResult,
         stats: FaultInjectionStats,
-        tree: FailurePointTree,
+        runs: Sequence[DetectionRun],
+        source: Optional[CampaignImageSource] = None,
     ) -> FaultInjectionResult:
+        if source is not None:
+            # Image accounting done in this process: planning, serial
+            # and --jobs execution, fleet local fallback (shards relay
+            # theirs through the stats beacon).
+            collected = source.collect_stats()
+            stats.absorb_image_stats(collected)
+            if self.telemetry.enabled:
+                collected.publish(
+                    self.telemetry.registry, engine=self.image_engine
+                )
         findings: List[Finding] = []
         outcomes: List[Tuple[Tuple[str, ...], RecoveryOutcome]] = []
         for result in campaign.results:
@@ -1290,7 +996,7 @@ class FaultInjector:
         return FaultInjectionResult(
             findings,
             stats,
-            tree,
+            runs[0].tree,
             outcomes,
             quarantined=campaign.quarantined,
             comparison=comparison,
@@ -1324,11 +1030,6 @@ class FaultInjector:
             adversarial_bugs=len(adversarial_keys),
             adversarial_only=only,
         )
-
-    @staticmethod
-    def _finding(stack, seq, outcome: RecoveryOutcome) -> Finding:
-        """Kept for API compatibility; delegates to the harness."""
-        return make_finding(stack, seq, outcome)
 
 
 class _ReplayInjector(FailurePointObserver):

@@ -56,11 +56,6 @@ from repro.core.taxonomy import BugKind
 from repro.errors import CheckpointError, WatchdogTimeout
 from repro.obs.spans import NULL_TELEMETRY
 from repro.recovery.cache import outcome_from_record
-from repro.recovery.scheduler import (
-    OrderedJournalWriter,
-    replay_result,
-    task_order_key,
-)
 from repro.pmem.faultmodel import (
     VARIANT_PREFIX,
     AdversarialImageFactory,
@@ -273,6 +268,26 @@ class InjectionTask:
     sched: int = -1
 
 
+def task_order_key(task) -> Tuple[int, int]:
+    """Deterministic campaign order of a task: (schedule id, index).
+
+    Single-threaded campaigns have ``sched == -1`` everywhere, so the
+    key degenerates to plain index order — byte-compatible with every
+    journal written before the schedule axis existed.  Scheduled
+    campaigns may hand the harness tasks whose indices repeat across
+    samples; ordering (and journal re-serialisation) must then
+    discriminate on the schedule id or out-of-order completions under
+    ``--jobs`` reorder findings nondeterministically.
+    """
+    return (getattr(task, "sched", -1), task.index)
+
+
+def same_injection(a: InjectionTask, b: InjectionTask) -> bool:
+    """Whether two tasks probe the same crash image: a checkpointed or
+    shipped result stands in for a planned task only when this holds."""
+    return (a.stack, a.variant, a.sched) == (b.stack, b.variant, b.sched)
+
+
 @dataclass
 class QuarantineRecord:
     """An injection the harness gave up on (tool trouble, not a finding)."""
@@ -309,6 +324,23 @@ class InjectionResult:
     #: engines and machines).
     materialise_seconds: float = 0.0
     recovery_seconds: float = 0.0
+
+
+def split_resumed(
+    tasks: Sequence[InjectionTask],
+    resume_state: Optional[Dict[int, InjectionResult]],
+) -> Tuple[List[InjectionTask], List[InjectionResult]]:
+    """Partition a plan into the tasks still to run and the results a
+    checkpoint already holds for the others (the one resume filter)."""
+    todo: List[InjectionTask] = []
+    restored: List[InjectionResult] = []
+    for task in tasks:
+        done = resume_state.get(task.index) if resume_state else None
+        if done is not None and same_injection(done.task, task):
+            restored.append(done)
+        else:
+            todo.append(task)
+    return todo, restored
 
 
 @dataclass
@@ -872,6 +904,78 @@ class _AdversarialCursor:
             self._engine.release(image)
 
 
+class CampaignImageSource:
+    """The crash-image source of a whole campaign.
+
+    A campaign is a list of detection runs (one for an ordinary
+    campaign, one per schedule sample under ``--sched``); this wraps one
+    prefix or adversarial source per run and dispatches each task on
+    its run's schedule id.  Cursors create their per-run sub-cursors
+    lazily, so a worker that only executes tasks of one run pays for one
+    engine.
+    """
+
+    def __init__(
+        self,
+        runs: Sequence,
+        fault_model: Optional[FaultModelConfig] = None,
+        image_engine: str = ENGINE_IMAGE_REPLAY,
+    ):
+        self.image_engine = image_engine
+        self.sources: Dict[int, Any] = {}
+        for run in runs:
+            if fault_model is not None and fault_model.is_adversarial:
+                source = AdversarialImageSource(
+                    run.initial_image,
+                    run.trace,
+                    fault_model,
+                    image_engine=image_engine,
+                )
+            else:
+                source = PrefixImageSource(
+                    run.initial_image,
+                    run.trace,
+                    image_engine=image_engine,
+                )
+            self.sources[run.sched] = source
+
+    def cursor(self) -> "_CampaignCursor":
+        return _CampaignCursor(self)
+
+    def collect_stats(self) -> ImageEngineStats:
+        """Fold every run source's image-engine counters into one."""
+        total = ImageEngineStats()
+        for sched in sorted(self.sources):
+            total.merge(self.sources[sched].collect_stats())
+        return total
+
+
+class _CampaignCursor:
+    """Worker-local cursor; tracks which sub-cursor owns a pooled image."""
+
+    def __init__(self, source: CampaignImageSource):
+        self._source = source
+        self._cursors: Dict[int, Any] = {}
+        self._owner: Dict[int, Any] = {}
+
+    def __call__(self, task: InjectionTask):
+        cursor = self._cursors.get(task.sched)
+        if cursor is None:
+            cursor = self._source.sources[task.sched].cursor()
+            self._cursors[task.sched] = cursor
+        image = cursor(task)
+        if isinstance(image, MaterialisedImage):
+            # Pooled buffers must go back to the engine that issued them.
+            self._owner[id(image)] = cursor
+        return image
+
+    def release(self, image) -> None:
+        cursor = self._owner.pop(id(image), None)
+        release = getattr(cursor, "release", None)
+        if release is not None:
+            release(image)
+
+
 # --------------------------------------------------------------------- #
 # checkpoint journal
 # --------------------------------------------------------------------- #
@@ -1233,9 +1337,61 @@ def _record_checkpoint(journal, result, telemetry) -> None:
     )
 
 
+class OrderedJournalWriter:
+    """Re-serialise out-of-order completions into campaign order.
+
+    ``record`` is called exactly once per result, in ascending
+    :func:`task_order_key` order over ``expected_keys``, no matter the
+    completion order, so a ``--jobs`` campaign journals exactly the
+    bytes a serial one does.
+
+    ``expected_keys`` accepts plain indices (single-threaded callers) or
+    ``(sched, index)`` keys; results are always buffered under their
+    full :func:`task_order_key`.  Keying on the bare index was a real
+    bug once schedule-variant tasks entered the plan: two samples can
+    emit the same per-sample index, and an out-of-order completion
+    under ``--jobs`` would overwrite one buffered result with the
+    other, reordering (and dropping) findings nondeterministically.
+    """
+
+    def __init__(self, record, expected_keys):
+        self._record = record
+        self._pending = {}
+        self._order = sorted(self._normalise(key) for key in expected_keys)
+        self._cursor = 0
+
+    @staticmethod
+    def _normalise(key):
+        """Accept a bare index or a (sched, index) pair as an order key."""
+        if isinstance(key, tuple):
+            return key
+        return (-1, key)
+
+    def offer(self, result):
+        """Accept one completed result; drain whatever is now ready."""
+        self._pending[task_order_key(result.task)] = result
+        while self._cursor < len(self._order):
+            key = self._order[self._cursor]
+            ready = self._pending.pop(key, None)
+            if ready is None:
+                break
+            self._record(ready)
+            self._cursor += 1
+
+    def flush_remaining(self):
+        """Drain whatever is still buffered (a drained campaign left a
+        gap), in campaign order."""
+        for key in sorted(self._pending):
+            self._record(self._pending.pop(key))
+
+    @property
+    def buffered(self):
+        return len(self._pending)
+
+
 def run_campaign(
     tasks: Sequence[InjectionTask],
-    image_source: PrefixImageSource,
+    image_source: CampaignImageSource,
     app_factory: Callable[[], Any],
     config: Optional[HarnessConfig] = None,
     journal: Optional[CampaignJournal] = None,
@@ -1250,55 +1406,35 @@ def run_campaign(
     """Run an injection campaign to completion, whatever the targets do.
 
     ``resume_state`` (from :func:`load_checkpoint`) short-circuits
-    already-completed tasks; ``journal`` checkpoints fresh completions.
-    ``telemetry`` (a :class:`repro.obs.Telemetry`, observation-only) and
-    ``heartbeat`` (a :class:`repro.obs.HeartbeatMonitor`) stream spans
-    and progress; both default to inert.  ``_worker_fault`` is a test
-    hook invoked at task pickup inside the parallel workers (raising
-    simulates worker death).
+    already-completed tasks; ``journal`` checkpoints fresh completions,
+    always in campaign order (:class:`OrderedJournalWriter`), so serial
+    and parallel runs journal identical bytes.  ``telemetry`` (a
+    :class:`repro.obs.Telemetry`, observation-only) and ``heartbeat`` (a
+    :class:`repro.obs.HeartbeatMonitor`) stream spans and progress; both
+    default to inert.  ``_worker_fault`` is a test hook invoked at task
+    pickup inside the parallel workers (raising simulates worker death).
 
     ``stop`` (a :class:`threading.Event`, optional) requests a graceful
-    drain: the campaign stops picking up new work at the next task (or
-    group) boundary, flushes the journal, and returns a partial
+    drain: the campaign stops picking up new work at the next task
+    boundary, flushes the journal, and returns a partial
     :class:`CampaignResult` with ``drained=True`` — resuming from the
     checkpoint completes it with byte-identical journal records.
 
     ``recovery`` (a :class:`~repro.recovery.RecoveryEngine`, optional)
-    turns on deduplicated dispatch: pending tasks are grouped by
-    image-equivalence *before* execution, one leader per group is
-    verified for real (through the engine's verdict cache and machine
-    pool) and followers replay its outcome.  Results complete out of
-    index order then, so the checkpoint journal is re-serialised through
-    an :class:`~repro.recovery.OrderedJournalWriter` — journal bytes
-    stay identical with the engine off, and parallel identical to
-    serial.  With ``recovery=None`` this function's behaviour is
-    byte-for-byte the legacy path.
+    routes every recovery through the engine's verdict cache and machine
+    pool; one session per worker.
     """
     config = config or HarnessConfig()
-    resume_state = resume_state or {}
     campaign = CampaignResult()
-    todo: List[InjectionTask] = []
-    for task in tasks:
-        restored = resume_state.get(task.index)
-        if (
-            restored is not None
-            and restored.task.stack == task.stack
-            and restored.task.variant == task.variant
-            and restored.task.sched == task.sched
-        ):
-            campaign.results.append(restored)
-            telemetry.counter("injections_restored")
-            if heartbeat is not None:
-                heartbeat.note(restored)
-        else:
-            todo.append(task)
+    todo, restored = split_resumed(tasks, resume_state)
+    for result in restored:
+        campaign.results.append(result)
+        telemetry.counter("injections_restored")
+        if heartbeat is not None:
+            heartbeat.note(result)
 
     writer = None
-    if recovery is not None and journal is not None:
-        # Ordered on (schedule id, index): schedule-variant tasks from
-        # different samples may share indices in hand-built plans, and
-        # out-of-order completions under ``jobs > 1`` must still land in
-        # the deterministic campaign order.
+    if journal is not None:
         writer = OrderedJournalWriter(
             lambda result: _record_checkpoint(journal, result, telemetry),
             [task_order_key(task) for task in todo],
@@ -1310,62 +1446,20 @@ def run_campaign(
         campaign.results.append(result)
         if writer is not None:
             writer.offer(result)
-        elif journal is not None:
-            _record_checkpoint(journal, result, telemetry)
         if heartbeat is not None:
             heartbeat.note(result)
 
-    def replay_follower(
-        leader_result: InjectionResult, task: InjectionTask, tel
-    ) -> InjectionResult:
-        result = replay_result(leader_result, task, make_finding)
-        recovery.stats.dedup_followers += 1
-        tel.counter(
-            "recovery_outcomes",
-            status=result.outcome.status.value,
-            variant=task.variant,
-        )
-        return result
-
-    def draining() -> bool:
-        return stop is not None and stop.is_set()
-
     if config.jobs <= 1 or len(todo) <= 1:
         cursor = image_source.cursor()
-        if recovery is None:
-            for task in todo:
-                if draining():
-                    campaign.drained = True
-                    break
-                result = execute_injection(
-                    task, cursor, app_factory, config, sleep=sleep,
-                    telemetry=telemetry,
-                )
-                finish(result)
-        else:
-            session = recovery.session()
-            for group in recovery.plan_groups(todo):
-                if draining():
-                    campaign.drained = True
-                    break
-                leader_result = execute_injection(
-                    group.leader, cursor, app_factory, config,
-                    sleep=sleep, telemetry=telemetry, recovery=session,
-                )
-                finish(leader_result)
-                for task in group.followers:
-                    if leader_result.outcome is not None:
-                        finish(
-                            replay_follower(leader_result, task, telemetry)
-                        )
-                    else:
-                        # Quarantined leader: its outcome is unknown, so
-                        # followers fall back to independent execution.
-                        finish(execute_injection(
-                            task, cursor, app_factory, config,
-                            sleep=sleep, telemetry=telemetry,
-                            recovery=session,
-                        ))
+        session = recovery.session() if recovery is not None else None
+        for task in todo:
+            if stop is not None and stop.is_set():
+                campaign.drained = True
+                break
+            finish(execute_injection(
+                task, cursor, app_factory, config, sleep=sleep,
+                telemetry=telemetry, recovery=session,
+            ))
     else:
         _run_parallel(
             todo,
@@ -1374,7 +1468,6 @@ def run_campaign(
             config,
             campaign,
             finish,
-            replay_follower,
             sleep,
             telemetry,
             heartbeat,
@@ -1395,12 +1488,11 @@ def run_campaign(
 
 def _run_parallel(
     todo: List[InjectionTask],
-    image_source: PrefixImageSource,
+    image_source: CampaignImageSource,
     app_factory: Callable[[], Any],
     config: HarnessConfig,
     campaign: CampaignResult,
     finish: Callable[[InjectionResult], None],
-    replay_follower,
     sleep: Callable[[float], None],
     telemetry,
     heartbeat,
@@ -1408,20 +1500,9 @@ def _run_parallel(
     stop: Optional[threading.Event],
     worker_fault: Optional[Callable[[int, InjectionTask], None]],
 ) -> None:
-    # With the recovery engine on, only group *leaders* enter the queue;
-    # followers are synthesised at the supervisor the moment their
-    # leader's outcome lands (or fall back to the queue if the leader
-    # was quarantined).  Workers therefore pull *unique* images.
-    followers_of: Dict[int, List[InjectionTask]] = {}
     pending: "queue.Queue[InjectionTask]" = queue.Queue()
-    if recovery is not None:
-        for group in recovery.plan_groups(todo):
-            pending.put(group.leader)
-            if group.followers:
-                followers_of[group.leader.index] = list(group.followers)
-    else:
-        for task in todo:
-            pending.put(task)
+    for task in todo:
+        pending.put(task)
     events: "queue.Queue[tuple]" = queue.Queue()
     shutdown = threading.Event()
     requeues: Dict[int, int] = {}
@@ -1520,29 +1601,13 @@ def _run_parallel(
                     # (legacy accounting, preserved).
                     finish(result, count_retries=False)
                     completed += 1
-                    # A quarantined leader yields no outcome to replay;
-                    # its followers go back to the queue as singletons.
-                    for follower in followers_of.pop(task.index, ()):
-                        pending.put(follower)
                 else:
                     pending.put(task)
                 workers = [t for t in workers if t.is_alive()]
                 workers.append(spawn())
                 continue
-            result = payload
-            finish(result)
+            finish(payload)
             completed += 1
-            followers = followers_of.pop(task.index, None)
-            if followers:
-                if result.outcome is not None:
-                    # The leader's verdict lands; every follower in its
-                    # image-equivalence group completes instantly.
-                    for follower in followers:
-                        finish(replay_follower(result, follower, telemetry))
-                        completed += 1
-                else:
-                    for follower in followers:
-                        pending.put(follower)
     finally:
         shutdown.set()
     for thread in workers:

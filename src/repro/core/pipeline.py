@@ -19,6 +19,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.core.fault_injection import (
     ENGINE_TRACE,
+    DetectionRun,
     FaultInjectionResult,
     FaultInjector,
 )
@@ -277,21 +278,21 @@ class Mumak:
         telemetry = Telemetry() if config.obs_active else NULL_TELEMETRY
 
         # Step 1: instrumented execution(s) -> trace + failure point tree.
-        # A scheduled campaign runs detection once per schedule sample;
-        # sample 0's trace/tree stand in wherever the single-threaded
-        # pipeline expects "the" trace (trace analysis, the result).
-        runs = None
-        if config.sched is not None:
-            if config.engine != ENGINE_TRACE:
-                raise ValueError(
-                    "--sched requires the trace engine; the replay engine "
-                    "re-executes the target per failure point and has no "
-                    "notion of a recorded interleaving"
-                )
-            from repro.sched.campaign import detect_schedules
+        # Detection yields a list of runs: one for an ordinary campaign,
+        # one per schedule sample under --sched.  The first run's trace
+        # and tree stand in wherever the pipeline needs "the" trace
+        # (trace analysis, the result).
+        if config.sched is not None and config.engine != ENGINE_TRACE:
+            raise ValueError(
+                "--sched requires the trace engine; the replay engine "
+                "re-executes the target per failure point and has no "
+                "notion of a recorded interleaving"
+            )
+        with timer.phase("instrumented_run"):
+            with telemetry.span("campaign/instrumented_run"):
+                if config.sched is not None:
+                    from repro.sched.campaign import detect_schedules
 
-            with timer.phase("instrumented_run"):
-                with telemetry.span("campaign/instrumented_run"):
                     runs, artifacts = detect_schedules(
                         app_factory,
                         workload,
@@ -302,39 +303,39 @@ class Mumak:
                             config.require_store_since_last
                         ),
                     )
-            tree = runs[0].tree
-            trace_events = runs[0].trace
-            candidates = sum(run.candidates for run in runs)
-            usage.pool_bytes = artifacts.machine.medium.size
-            usage.note_bytes(
-                sum(
-                    estimate_trace_bytes(run.trace)
-                    + 200 * run.tree.node_count()
-                    for run in runs
-                )
-            )
-        else:
-            tree = FailurePointTree()
-            tracer = MinimalTracer()
-            observer = FailurePointObserver(
-                lambda stack, event: tree.insert(stack, seq=event.seq),
-                granularity=config.granularity,
-                require_store_since_last=config.require_store_since_last,
-            )
-            with timer.phase("instrumented_run"):
-                with telemetry.span("campaign/instrumented_run"):
+                else:
+                    tree = FailurePointTree()
+                    tracer = MinimalTracer()
+                    observer = FailurePointObserver(
+                        lambda stack, event: tree.insert(stack, seq=event.seq),
+                        granularity=config.granularity,
+                        require_store_since_last=(
+                            config.require_store_since_last
+                        ),
+                    )
                     artifacts = run_instrumented(
                         app_factory,
                         workload,
                         hooks=[tracer, observer],
                         seed=config.seed,
                     )
-            trace_events = tracer.events
-            candidates = observer.candidates_seen
-            usage.pool_bytes = artifacts.machine.medium.size
-            usage.note_bytes(
-                estimate_trace_bytes(trace_events) + 200 * tree.node_count()
+                    runs = [
+                        DetectionRun(
+                            sched=-1,
+                            trace=tracer.events,
+                            tree=tree,
+                            initial_image=artifacts.initial_image,
+                            candidates=observer.candidates_seen,
+                        )
+                    ]
+        trace_events = runs[0].trace
+        usage.pool_bytes = artifacts.machine.medium.size
+        usage.note_bytes(
+            sum(
+                estimate_trace_bytes(run.trace) + 200 * run.tree.node_count()
+                for run in runs
             )
+        )
 
         # Step 2: fault injection against the recovery oracle, through
         # the hardened campaign runner (watchdog, containment, journal).
@@ -372,91 +373,33 @@ class Mumak:
                 stop=config.stop_event,
                 stall_window=config.stall_window_seconds,
             )
-            fingerprint = config.fingerprint(target_name)
-            use_fleet = config.fleet_dir is not None
-            use_fabric = config.shards > 1 or bool(config.chaos)
-            if use_fleet:
-                if runs is not None:
-                    raise ValueError(
-                        "--sched is incompatible with --fleet: schedule "
-                        "samples are process-local detection products and "
-                        "are not published over the fleet transport"
-                    )
-                with timer.phase("fault_injection"), telemetry.span(
-                    "campaign/injection"
+            with timer.phase("fault_injection"), telemetry.span(
+                "campaign/injection"
+            ):
+                if (
+                    config.fleet_dir is not None
+                    or config.shards > 1
+                    or config.chaos
                 ):
-                    fi_result = self._analyze_fleet(
+                    fi_result = self._inject_distributed(
                         injector,
                         app_factory,
-                        workload,
-                        tree,
-                        trace_events,
-                        artifacts,
-                        candidates,
-                        fingerprint,
-                        config.fingerprint_payload(target_name),
+                        runs,
+                        target_name,
                         recovery_config,
                         usage,
                         resume_from,
                     )
-            elif use_fabric:
-                with timer.phase("fault_injection"), telemetry.span(
-                    "campaign/injection"
-                ):
-                    fi_result = self._analyze_sharded(
+                else:
+                    fi_result = self._inject_local(
                         injector,
                         app_factory,
                         workload,
-                        tree,
-                        trace_events,
-                        artifacts,
-                        candidates,
-                        fingerprint,
+                        runs,
+                        target_name,
                         usage,
                         resume_from,
-                        runs=runs,
                     )
-            else:
-                resume_state = None
-                if resume_from is not None:
-                    resume_state = load_checkpoint(resume_from, fingerprint)
-                journal = None
-                if config.checkpoint_path is not None:
-                    journal = CampaignJournal(
-                        config.checkpoint_path,
-                        fingerprint,
-                        seed=config.seed,
-                        interval=config.checkpoint_interval,
-                    )
-                try:
-                    with timer.phase("fault_injection"), telemetry.span(
-                        "campaign/injection"
-                    ):
-                        if runs is not None:
-                            fi_result = injector.inject_scheduled(
-                                app_factory,
-                                runs,
-                                threads=config.sched.threads,
-                                candidates=candidates,
-                                journal=journal,
-                                resume_state=resume_state,
-                            )
-                        else:
-                            fi_result = injector.inject(
-                                app_factory,
-                                workload,
-                                tree,
-                                trace_events,
-                                artifacts.initial_image,
-                                seed=config.seed,
-                                candidates=candidates,
-                                journal=journal,
-                                resume_state=resume_state,
-                            )
-                finally:
-                    if journal is not None:
-                        journal.close()
-                        usage.checkpoint_bytes = journal.bytes_written
             # Surface the hot-path breakdown: how much of the injection
             # phase went to image materialisation vs oracle recovery.
             usage.note_detail(
@@ -487,7 +430,7 @@ class Mumak:
             with timer.phase("trace_analysis"):
                 with telemetry.span("campaign/trace_analysis"):
                     pending, trace_stats = analyzer.analyze(trace_events)
-                    if runs is not None:
+                    if config.sched is not None:
                         # Sample 0's trace was analysed; the debug-info
                         # re-run must replay the very same interleaving.
                         sites = resolve_sites_scheduled(
@@ -521,154 +464,67 @@ class Mumak:
             resources=usage,
             fault_injection=fi_result,
             trace_stats=trace_stats,
-            tree=tree,
+            tree=runs[0].tree,
             trace_length=len(trace_events),
             telemetry=telemetry if telemetry.enabled else None,
         )
 
-    def _analyze_fleet(
+    def _inject_local(
         self,
         injector: FaultInjector,
         app_factory,
         workload,
-        tree,
-        trace_events,
-        artifacts,
-        candidates: int,
-        fingerprint: str,
-        fingerprint_payload: dict,
+        runs,
+        target_name: str,
+        usage,
+        resume_from: Optional[str],
+    ) -> FaultInjectionResult:
+        """The injection phase in this process (serial or ``--jobs``)."""
+        config = self.config
+        fingerprint = config.fingerprint(target_name)
+        resume_state = None
+        if resume_from is not None:
+            resume_state = load_checkpoint(resume_from, fingerprint)
+        journal = None
+        if config.checkpoint_path is not None:
+            journal = CampaignJournal(
+                config.checkpoint_path,
+                fingerprint,
+                seed=config.seed,
+                interval=config.checkpoint_interval,
+            )
+        try:
+            return injector.inject(
+                app_factory,
+                runs,
+                workload=workload,
+                seed=config.seed,
+                journal=journal,
+                resume_state=resume_state,
+            )
+        finally:
+            if journal is not None:
+                journal.close()
+                usage.checkpoint_bytes = journal.bytes_written
+
+    def _inject_distributed(
+        self,
+        injector: FaultInjector,
+        app_factory,
+        runs,
+        target_name: str,
         recovery_config,
         usage,
         resume_from: Optional[str],
     ) -> FaultInjectionResult:
-        """Route the injection phase through the cross-host fleet.
+        """The injection phase across shard processes or fleet hosts.
 
-        Same checkpoint discipline as the in-host fabric: the fleet
-        always journals (the merged journal is its ground truth), so a
-        campaign without ``--checkpoint`` runs against a temporary
-        journal discarded with the run.
+        Both fabrics always journal (shard and slice journals are their
+        ground truth for requeue and merge), so a campaign without
+        ``--checkpoint`` runs against a temporary journal discarded with
+        the run.
         """
-        import dataclasses as _dataclasses
-        import os
-        import tempfile
-
-        from repro.core.harness import read_journal, result_from_record
-        from repro.errors import CheckpointError
-        from repro.fabric import cleanup_shard_artifacts, collect_shard_records
-        from repro.fabric.chaos import TransportChaosConfig
-        from repro.fabric.fleet import FleetConfig
-
-        config = self.config
-        if config.engine != ENGINE_TRACE:
-            raise ValueError(
-                "--fleet requires the trace engine; the replay engine "
-                "discovers failure points by re-execution and is "
-                "inherently serial"
-            )
-        if not config.campaign_spec or "target" not in config.campaign_spec:
-            raise ValueError(
-                "fleet campaigns need a campaign spec naming the target "
-                "and workload (the CLI builds one; library callers pass "
-                "MumakConfig.campaign_spec)"
-            )
-        spec = dict(config.campaign_spec)
-        spec.update(
-            {
-                "seed": config.seed,
-                "granularity": config.granularity,
-                "require_store_since_last": config.require_store_since_last,
-                "max_injections": config.max_injections,
-                "timeout_seconds": config.timeout_seconds,
-                "step_budget": config.step_budget,
-                "max_retries": config.max_retries,
-                "fault_model": _dataclasses.asdict(config.fault_model),
-                "image_engine": config.image_engine,
-                "recovery_cache_enabled": recovery_config.cache_enabled,
-                "machine_pool": config.machine_pool,
-                "scope": recovery_config.scope,
-            }
-        )
-        fleet_config = FleetConfig(
-            root=config.fleet_dir,
-            slices=config.fleet_slices,
-            ttl_seconds=config.fleet_ttl_seconds,
-            patience_seconds=config.fleet_patience_seconds,
-            chaos=(
-                TransportChaosConfig.parse(config.transport_chaos)
-                if config.transport_chaos
-                else None
-            ),
-        )
-        with tempfile.TemporaryDirectory(prefix="mumak-fleet-") as tmp:
-            if config.checkpoint_path is not None:
-                checkpoint = config.checkpoint_path
-            else:
-                checkpoint = os.path.join(tmp, "campaign.journal")
-            resume_state = {}
-            base_records = {}
-            if resume_from is None:
-                cleanup_shard_artifacts(checkpoint)
-            else:
-                strays = collect_shard_records(checkpoint, fingerprint)
-                if os.path.exists(resume_from):
-                    resume_state = load_checkpoint(resume_from, fingerprint)
-                    _, raw = read_journal(resume_from)
-                    base_records = {
-                        record["i"]: record
-                        for record in raw
-                        if record.get("type") == "injection"
-                    }
-                elif not strays:
-                    raise CheckpointError(
-                        f"checkpoint {resume_from!r} does not exist"
-                    )
-                for index, record in strays.items():
-                    base_records.setdefault(index, record)
-                    resume_state.setdefault(
-                        index, result_from_record(record)
-                    )
-            fi_result = injector.inject_fleet(
-                app_factory,
-                workload,
-                tree,
-                trace_events,
-                artifacts.initial_image,
-                fleet_config,
-                checkpoint,
-                fingerprint,
-                fingerprint_payload,
-                spec,
-                seed=config.seed,
-                candidates=candidates,
-                resume_state=resume_state,
-                base_records=base_records,
-            )
-            if config.checkpoint_path is not None and os.path.exists(
-                checkpoint
-            ):
-                usage.checkpoint_bytes = os.path.getsize(checkpoint)
-        return fi_result
-
-    def _analyze_sharded(
-        self,
-        injector: FaultInjector,
-        app_factory,
-        workload,
-        tree,
-        trace_events,
-        artifacts,
-        candidates: int,
-        fingerprint: str,
-        usage,
-        resume_from: Optional[str],
-        runs=None,
-    ) -> FaultInjectionResult:
-        """Route the injection phase through the multiprocess fabric.
-
-        The fabric always journals (shard journals are its ground truth
-        for death requeue), so a campaign without ``--checkpoint`` runs
-        against a temporary journal that is discarded with the run.
-        """
+        import dataclasses
         import os
         import tempfile
 
@@ -680,25 +536,71 @@ class Mumak:
             cleanup_shard_artifacts,
             collect_shard_records,
         )
+        from repro.fabric.chaos import TransportChaosConfig
+        from repro.fabric.fleet import FleetConfig
 
         config = self.config
+        fingerprint = config.fingerprint(target_name)
         if config.engine != ENGINE_TRACE:
             raise ValueError(
-                "--shards/--chaos require the trace engine; the replay "
-                "engine discovers failure points by re-execution and is "
-                "inherently serial"
+                "--shards/--chaos/--fleet require the trace engine; the "
+                "replay engine discovers failure points by re-execution "
+                "and is inherently serial"
             )
-        fabric_config = FabricConfig(
-            shards=config.shards,
-            chaos=(
-                ChaosConfig.parse(config.chaos) if config.chaos else None
-            ),
-        )
+        if config.fleet_dir is not None:
+            if config.sched is not None:
+                raise ValueError(
+                    "--sched is incompatible with --fleet: schedule "
+                    "samples are process-local detection products and "
+                    "are not published over the fleet transport"
+                )
+            if not config.campaign_spec or "target" not in config.campaign_spec:
+                raise ValueError(
+                    "fleet campaigns need a campaign spec naming the "
+                    "target and workload (the CLI builds one; library "
+                    "callers pass MumakConfig.campaign_spec)"
+                )
+            fleet_config = FleetConfig(
+                root=config.fleet_dir,
+                slices=config.fleet_slices,
+                ttl_seconds=config.fleet_ttl_seconds,
+                patience_seconds=config.fleet_patience_seconds,
+                chaos=(
+                    TransportChaosConfig.parse(config.transport_chaos)
+                    if config.transport_chaos
+                    else None
+                ),
+            )
+            spec = dict(config.campaign_spec)
+            spec.update(
+                {
+                    "seed": config.seed,
+                    "granularity": config.granularity,
+                    "require_store_since_last": (
+                        config.require_store_since_last
+                    ),
+                    "max_injections": config.max_injections,
+                    "timeout_seconds": config.timeout_seconds,
+                    "step_budget": config.step_budget,
+                    "max_retries": config.max_retries,
+                    "fault_model": dataclasses.asdict(config.fault_model),
+                    "image_engine": config.image_engine,
+                    "recovery_cache_enabled": recovery_config.cache_enabled,
+                    "machine_pool": config.machine_pool,
+                    "scope": recovery_config.scope,
+                }
+            )
+        else:
+            fabric_config = FabricConfig(
+                shards=config.shards,
+                chaos=(
+                    ChaosConfig.parse(config.chaos) if config.chaos else None
+                ),
+            )
         with tempfile.TemporaryDirectory(prefix="mumak-fabric-") as tmp:
-            if config.checkpoint_path is not None:
-                checkpoint = config.checkpoint_path
-            else:
-                checkpoint = os.path.join(tmp, "campaign.journal")
+            checkpoint = config.checkpoint_path or os.path.join(
+                tmp, "campaign.journal"
+            )
             resume_state = {}
             base_records = {}
             if resume_from is None:
@@ -728,21 +630,30 @@ class Mumak:
                     resume_state.setdefault(
                         index, result_from_record(record)
                     )
-            fi_result = injector.inject_sharded(
-                app_factory,
-                workload,
-                tree,
-                trace_events,
-                artifacts.initial_image,
-                fabric_config,
-                checkpoint,
-                fingerprint,
-                seed=config.seed,
-                candidates=candidates,
-                resume_state=resume_state,
-                base_records=base_records,
-                runs=runs,
-            )
+            if config.fleet_dir is not None:
+                fi_result = injector.inject_fleet(
+                    app_factory,
+                    runs,
+                    fleet_config,
+                    checkpoint,
+                    fingerprint,
+                    config.fingerprint_payload(target_name),
+                    spec,
+                    seed=config.seed,
+                    resume_state=resume_state,
+                    base_records=base_records,
+                )
+            else:
+                fi_result = injector.inject_sharded(
+                    app_factory,
+                    runs,
+                    fabric_config,
+                    checkpoint,
+                    fingerprint,
+                    seed=config.seed,
+                    resume_state=resume_state,
+                    base_records=base_records,
+                )
             if config.checkpoint_path is not None and os.path.exists(
                 checkpoint
             ):

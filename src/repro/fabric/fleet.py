@@ -787,14 +787,7 @@ def run_fleet_worker(
 
     # -- rebuild the campaign (one instrumented run per worker) --------- #
     say(f"[fleet:{worker_id}] rebuilding campaign {fingerprint[:12]}…")
-    (
-        source,
-        tasks,
-        app_factory,
-        harness,
-        trace,
-        recovery_cfg,
-    ) = _rebuild_campaign(spec)
+    injector, runs, source, tasks, app_factory = _rebuild_campaign(spec)
     say(
         f"[fleet:{worker_id}] warm: {len(tasks)} task(s) across "
         f"{slices} slice(s)"
@@ -879,9 +872,8 @@ def run_fleet_worker(
                 slices,
                 source,
                 app_factory,
-                harness,
-                trace,
-                recovery_cfg,
+                injector,
+                runs,
                 fingerprint,
                 seed,
                 worker,
@@ -975,19 +967,6 @@ def _rebuild_campaign(spec: dict):
         max_retries=spec.get("max_retries", 2),
         jobs=1,
     )
-    injector = FaultInjector(
-        granularity=spec["granularity"],
-        require_store_since_last=spec["require_store_since_last"],
-        max_injections=spec.get("max_injections"),
-        harness=harness,
-        fault_model=FaultModelConfig(**spec["fault_model"]),
-        image_engine=spec.get("image_engine", "incremental"),
-    )
-    tree, trace, initial_image = injector._detect(
-        app_factory, workload, spec["seed"]
-    )
-    source = injector._make_source(trace, initial_image)
-    tasks = injector._plan_tasks(tree, source)
     recovery_cfg = None
     if spec.get("recovery_cache_enabled", True):
         recovery_cfg = RecoveryEngineConfig.resolve(
@@ -996,7 +975,18 @@ def _rebuild_campaign(spec: dict):
             spec["scope"],
             None,
         )
-    return source, tasks, app_factory, harness, trace, recovery_cfg
+    injector = FaultInjector(
+        granularity=spec["granularity"],
+        require_store_since_last=spec["require_store_since_last"],
+        max_injections=spec.get("max_injections"),
+        harness=harness,
+        fault_model=FaultModelConfig(**spec["fault_model"]),
+        image_engine=spec.get("image_engine", "incremental"),
+        recovery=recovery_cfg,
+    )
+    runs = [injector.detect(app_factory, workload, spec["seed"])]
+    source, tasks = injector.plan(runs)
+    return injector, runs, source, tasks, app_factory
 
 
 def _run_lease(
@@ -1006,9 +996,8 @@ def _run_lease(
     slices: int,
     source,
     app_factory,
-    harness,
-    trace,
-    recovery_cfg,
+    injector,
+    runs,
     fingerprint: str,
     seed: int,
     worker: _WorkerIO,
@@ -1022,8 +1011,6 @@ def _run_lease(
     import os
 
     from repro.core.harness import CampaignJournal, run_campaign
-    from repro.recovery import RecoveryEngine
-    from repro.recovery.engine import CACHE_SUFFIX
 
     slice_tasks = [
         task for task in tasks if task.index % slices == lease.slice_id
@@ -1041,25 +1028,18 @@ def _run_lease(
         workdir, f"slice{lease.slice_id}.t{lease.token}.jsonl"
     )
     journal = CampaignJournal(journal_path, fingerprint, seed=seed, interval=1)
-    engine = None
-    cache_path = None
-    if recovery_cfg is not None:
-        cache_path = journal_path + CACHE_SUFFIX
-        engine = RecoveryEngine(
-            dataclasses.replace(recovery_cfg, cache_path=cache_path),
-            trace=trace,
-        )
-        if engine.cache is not None:
-            # Adopt every shipped verdict before running: a re-leased
-            # or duplicated slice replays from memory instead of
-            # re-verifying (the acceptance criterion for duplicates).
-            for name in fleet_transport.list(VCACHE_PREFIX):
-                try:
-                    summary.adopted_verdicts += engine.cache.adopt_bytes(
-                        fleet_transport.get(name)
-                    )
-                except (TransportMissing, TransportError):
-                    continue
+    engine = injector.recovery_engine(runs, journal_path)
+    if engine is not None and engine.cache is not None:
+        # Adopt every shipped verdict before running: a re-leased or
+        # duplicated slice replays from memory instead of re-verifying
+        # (the acceptance criterion for duplicates).
+        for name in fleet_transport.list(VCACHE_PREFIX):
+            try:
+                summary.adopted_verdicts += engine.cache.adopt_bytes(
+                    fleet_transport.get(name)
+                )
+            except (TransportMissing, TransportError):
+                continue
     stop = stop_event or threading.Event()
     beacon = _WorkerBeacon(
         _LeaseWorkerShim(worker), queue, lease, stop
@@ -1069,7 +1049,7 @@ def _run_lease(
             slice_tasks,
             source,
             app_factory,
-            config=harness,
+            config=injector.harness,
             journal=journal,
             heartbeat=beacon,
             recovery=engine,
@@ -1082,8 +1062,8 @@ def _run_lease(
     with open(journal_path, "rb") as fh:
         journal_bytes = fh.read()
     cache_bytes = None
-    if cache_path is not None and os.path.exists(cache_path):
-        with open(cache_path, "rb") as fh:
+    if engine is not None and engine.cache is not None:
+        with open(engine.cache.path, "rb") as fh:
             cache_bytes = fh.read()
     _ship(fleet_transport, lease, journal_bytes, cache_bytes, count_retry)
     return len(slice_tasks)

@@ -13,9 +13,9 @@ serial run would have written:
   a crash mid-merge leaves either the old journal or the new one, never
   a half-merged hybrid.  The merged bytes are identical to the journal a
   serial campaign writes: same header dump, same record dump, same
-  ascending-index order (serial completion order *is* index order — the
-  recovery engine's :class:`~repro.recovery.OrderedJournalWriter`
-  guarantees it even for grouped dispatch).
+  ascending-index order (serial completion order *is* index order, and
+  :class:`~repro.core.harness.OrderedJournalWriter` keeps ``--jobs``
+  journals in it too).
 * :func:`merge_vcaches` folds shard verdict caches into the campaign
   cache through :meth:`~repro.recovery.cache.VerdictCache.store_record`,
   which deduplicates by digest and keeps refusing ``INFRA_ERROR``.
@@ -41,7 +41,7 @@ from repro.core.harness import (
     result_from_record,
 )
 from repro.errors import CheckpointError
-from repro.recovery.cache import VerdictCache
+from repro.recovery.cache import VerdictCache, VerdictCacheError
 
 #: Shard journal name: ``<checkpoint>.shard<id>`` (its verdict cache
 #: rides at ``<checkpoint>.shard<id>.vcache``).
@@ -169,14 +169,20 @@ def merge_vcaches(
 ) -> int:
     """Fold shard verdict caches into the campaign cache at
     ``target_path`` (created if absent).  Deduplicates by digest; the
-    scope check rides on :class:`VerdictCache` itself.  Returns the
-    number of newly persisted verdicts."""
+    scope check rides on :class:`VerdictCache` itself.  A missing donor,
+    or one whose header a kill or the transport tore, is an accelerator
+    lost, never an error.  Returns the number of newly persisted
+    verdicts."""
     merged = 0
     with VerdictCache(scope, path=target_path) as cache:
         for path in donor_paths:
             if not os.path.exists(path):
                 continue
-            with VerdictCache(scope, path=path) as donor:
+            try:
+                donor = VerdictCache(scope, path=path)
+            except VerdictCacheError:
+                continue
+            with donor:
                 for digest, record in sorted(donor.records().items()):
                     if cache.store_record(digest, record):
                         merged += 1

@@ -407,7 +407,14 @@ class PMachine:
     # ------------------------------------------------------------------ #
 
     def clflush(self, address: int) -> None:
-        """Strongly ordered flush: persists the line immediately."""
+        """Strongly ordered flush: persists the line immediately.
+
+        A line an earlier ``clwb``/``clflushopt`` marked clean still
+        waits for its fence; ``clflush`` writes it back too, before
+        invalidating: the line itself (at least as new as its pending
+        snapshot) or, when eviction dropped the clean line, the snapshot
+        the fence would have written.
+        """
         if self.crashed:
             raise PMemError("machine has crashed; no further execution")
         self._step()
@@ -415,11 +422,13 @@ class PMachine:
             self._check_pm_bounds(address, 1)
             base = cache_line_of(address)
             line = self.cache.peek(base)
+            pending = self._pending_flushes.pop(base, None)
             if line is not None:
-                if line.dirty:
+                if line.dirty or pending is not None:
                     self.medium.write(base, line.copy_data())
                 self.cache.invalidate(base)
-            self._pending_flushes.pop(base, None)
+            elif pending is not None:
+                self.medium.write(base, pending[0])
         self._emit(Opcode.CLFLUSH, address, CACHE_LINE_SIZE)
 
     def clflushopt(self, address: int) -> None:

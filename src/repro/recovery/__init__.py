@@ -1,18 +1,20 @@
 """Recovery execution engine.
 
 Everything between "crash image materialised" and "RecoveryOutcome
-recorded" lives here.  Four cooperating pieces:
+recorded" lives here.  Three cooperating pieces:
 
 * :mod:`repro.recovery.digest` — a content-addressed image digester.
-  The digest binds the canonical persisted bytes, the post-crash poison
-  set, the fault-model *family* of the variant, and a recovery scope
-  (target + oracle budget config), so a torn-campaign verdict can never
-  alias a prefix one, and a verdict computed under one step budget can
-  never be replayed under another.
+  The digest binds the canonical persisted bytes (bounded to the
+  campaign's persisted-write extent), the post-crash poison set, the
+  fault-model *family* of the variant, and a recovery scope (target +
+  oracle budget config), so a torn-campaign verdict can never alias a
+  prefix one, and a verdict computed under one step budget can never be
+  replayed under another.
 
 * :mod:`repro.recovery.cache` — a verdict memo cache keyed by those
   digests.  Identical crash images are verified once; every other
-  failure point that collapses onto the same digest replays the cached
+  failure point that collapses onto the same digest — within one run or
+  across schedule samples — replays the cached
   :class:`~repro.core.oracle.RecoveryOutcome`.  The cache persists to a
   JSONL file alongside the campaign checkpoint (scope-fingerprinted,
   like checkpoint resume), so ``--resume`` skips re-verification.
@@ -20,13 +22,7 @@ recorded" lives here.  Four cooperating pieces:
 * :mod:`repro.recovery.pool` — a machine-template pool.  Recovery runs
   are served by cheap full-state reset + image adoption of a pooled
   :class:`~repro.pmem.machine.PMachine` instead of constructing a fresh
-  machine per run, directly attacking the ``recovery/boot`` sub-span.
-
-* :mod:`repro.recovery.scheduler` — dedup-aware dispatch.  Pending
-  failure points are grouped by image-equivalence *before* execution
-  (prefix points with the same persisted-write count share one image by
-  construction), so serial campaigns verify one leader per group and
-  parallel workers pull unique images off the queue.
+  machine per run.
 
 :mod:`repro.recovery.engine` composes the pieces behind a single
 :class:`RecoveryEngine` facade that the harness consumes.  The engine
@@ -36,7 +32,11 @@ and rendered reports are byte-identical with the engine on vs. off
 """
 
 from repro.recovery.cache import VerdictCache, VerdictCacheError
-from repro.recovery.digest import ImageDigester, recovery_scope
+from repro.recovery.digest import (
+    ImageDigester,
+    persisted_write_extent,
+    recovery_scope,
+)
 from repro.recovery.engine import (
     RecoveryEngine,
     RecoveryEngineConfig,
@@ -44,29 +44,16 @@ from repro.recovery.engine import (
     RecoverySession,
 )
 from repro.recovery.pool import MachineTemplatePool
-from repro.recovery.scheduler import (
-    OrderedJournalWriter,
-    TaskGroup,
-    persisted_write_extent,
-    persisted_write_seqs,
-    plan_groups,
-    replay_result,
-)
 
 __all__ = [
     "ImageDigester",
     "MachineTemplatePool",
-    "OrderedJournalWriter",
     "RecoveryEngine",
     "RecoveryEngineConfig",
     "RecoveryEngineStats",
     "RecoverySession",
-    "TaskGroup",
     "VerdictCache",
     "VerdictCacheError",
     "persisted_write_extent",
-    "persisted_write_seqs",
-    "plan_groups",
     "recovery_scope",
-    "replay_result",
 ]

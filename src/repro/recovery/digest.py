@@ -24,6 +24,7 @@ dedup is that distinct failure points collapse onto one image).
 import hashlib
 
 from repro.pmem.faultmodel import VARIANT_PREFIX, variant_family
+from repro.pmem.machine import CACHE_LINE_SIZE, VOLATILE_BASE
 
 #: Bumped if the preimage layout changes; mixed into the scope so stale
 #: persisted caches are dropped rather than misread.
@@ -42,6 +43,41 @@ def recovery_scope(payload: dict) -> str:
     )
     preimage = f"recovery-scope:v{DIGEST_VERSION}:{items}"
     return hashlib.sha256(preimage.encode("utf-8")).hexdigest()[:16]
+
+
+def persisted_write_extent(events):
+    """The ``(start, stop)`` byte range the persisted writes in
+    ``events`` cover, or ``None`` when nothing persists.
+
+    Every crash image of the campaign — prefix, torn, reorder, media —
+    differs from the pristine pool only inside this range, so the
+    digester can bound its hashing to it.  The range is aligned out to
+    cache-line boundaries because adversarial mutations (torn/reorder
+    cuts, media bit flips) operate on whole *written lines*: a flip can
+    land anywhere in a line whose write covered only its first bytes.
+    Passing every run's events at once gives the union extent a
+    multi-run campaign must share, or equal images from two runs would
+    hash different byte ranges.
+    """
+    start = None
+    stop = None
+    for event in events:
+        if (
+            event.is_write
+            and event.data is not None
+            and event.address is not None
+            and event.address < VOLATILE_BASE
+        ):
+            end = event.address + len(event.data)
+            if start is None or event.address < start:
+                start = event.address
+            if stop is None or end > stop:
+                stop = end
+    if start is None:
+        return None
+    start -= start % CACHE_LINE_SIZE
+    stop += -stop % CACHE_LINE_SIZE
+    return (start, stop)
 
 
 class ImageDigester:

@@ -2,8 +2,7 @@
 
 :class:`RecoveryEngine` owns the campaign-wide pieces — one
 :class:`~repro.recovery.digest.ImageDigester`, one (optionally
-persistent) :class:`~repro.recovery.cache.VerdictCache`, the
-persisted-write index used for pre-dispatch grouping, and the
+persistent) :class:`~repro.recovery.cache.VerdictCache`, and the
 aggregated :class:`RecoveryEngineStats`.  Each worker (or the serial
 loop) opens a :class:`RecoverySession`, which adds a private
 :class:`~repro.recovery.pool.MachineTemplatePool` and private hit/miss
@@ -13,21 +12,17 @@ lock; ``collect_stats`` folds the sessions back into the engine.
 The engine is config-gated at two independent levers
 (:class:`RecoveryEngineConfig`): the verdict cache (``recovery_cache``)
 and the machine pool (``machine_pool``).  With both off, the harness
-takes its legacy path byte-for-byte.
+runs without an engine.
 """
 
 import dataclasses
+import os
 import threading
 
 from repro.obs.spans import NULL_TELEMETRY
-from repro.recovery.cache import VerdictCache
+from repro.recovery.cache import VerdictCache, VerdictCacheError
 from repro.recovery.digest import ImageDigester
 from repro.recovery.pool import MachineTemplatePool
-from repro.recovery.scheduler import (
-    persisted_write_extent,
-    persisted_write_seqs,
-    plan_groups,
-)
 
 #: Suffix appended to the checkpoint path for the default cache file.
 CACHE_SUFFIX = ".vcache"
@@ -91,8 +86,6 @@ class RecoveryEngineStats:
     cache_stored: int = 0
     cache_loaded: int = 0
     cache_bytes_written: int = 0
-    dedup_groups: int = 0
-    dedup_followers: int = 0
     pool_boots: int = 0
     pool_reuses: int = 0
 
@@ -113,50 +106,58 @@ class RecoveryEngineStats:
 
 
 class RecoveryEngine:
-    """Campaign-wide recovery dedup/caching/pooling coordinator."""
+    """Campaign-wide recovery caching/pooling coordinator.
 
-    def __init__(
-        self,
-        config,
-        trace=None,
-        write_seqs=None,
-        extent=None,
-        telemetry=NULL_TELEMETRY,
-    ):
+    ``extent`` bounds digesting to the campaign's persisted-write extent
+    (:func:`~repro.recovery.digest.persisted_write_extent`): all crash
+    images agree outside it, so hashing pristine pool tail would cost
+    full-pool time per injection for zero information.  Every engine of
+    one campaign must get the same extent or digests stop aliasing.
+    """
+
+    def __init__(self, config, extent=None, telemetry=NULL_TELEMETRY):
         self.config = config
         self.telemetry = telemetry
         self.stats = RecoveryEngineStats()
-        # Bound digesting to the campaign's persisted-write extent: all
-        # crash images agree outside it, so hashing pristine pool tail
-        # would cost full-pool time per injection for zero information.
-        # Scheduled campaigns pass ``extent`` explicitly (the union over
-        # every schedule sample's trace) along with per-schedule
-        # ``write_seqs``: the extent must be identical for every engine
-        # of a campaign or digests stop aliasing across samples.
-        if extent is None and trace is not None:
-            extent = persisted_write_extent(trace)
         self.digester = ImageDigester(config.scope, extent=extent)
         self.cache = None
         if config.cache_enabled:
             self.cache = VerdictCache(config.scope, path=config.cache_path)
             self.stats.cache_loaded = self.cache.loaded
-        if write_seqs is None:
-            write_seqs = (
-                persisted_write_seqs(trace) if trace is not None else []
-            )
-        self.write_seqs = write_seqs
         self._lock = threading.Lock()
         self._sessions = []
 
-    # -- scheduling ---------------------------------------------------
+    @classmethod
+    def for_slice(cls, config, extent, journal_path, donors=()):
+        """The engine of one shard or fleet slice.
 
-    def plan_groups(self, tasks):
-        """Image-equivalence groups for ``tasks`` (counts dedup)."""
-        groups = plan_groups(tasks, self.write_seqs)
-        for group in groups:
-            if group.followers:
-                self.stats.dedup_groups += 1
-        return groups
+        Its verdict cache persists next to the slice journal
+        (``<journal_path>.vcache``) and first adopts every verdict in
+        the ``donors`` cache files — leniently, so a donor torn in
+        flight or by a kill yields its clean prefix.  A SIGKILL can tear
+        the slice cache's own header; the cache is an accelerator, never
+        ground truth, so it is then rebuilt from scratch.
+        """
+        config = dataclasses.replace(
+            config,
+            cache_path=(
+                journal_path + CACHE_SUFFIX if config.cache_enabled else None
+            ),
+        )
+        try:
+            engine = cls(config, extent=extent)
+        except VerdictCacheError:
+            os.remove(config.cache_path)
+            engine = cls(config, extent=extent)
+        if engine.cache is not None:
+            for donor in donors:
+                try:
+                    with open(donor, "rb") as fh:
+                        engine.cache.adopt_bytes(fh.read())
+                except OSError:
+                    continue
+            engine.stats.cache_loaded = engine.cache.loaded
+        return engine
 
     # -- sessions -----------------------------------------------------
 

@@ -16,11 +16,9 @@ from repro.sched.config import SchedConfig
 from repro.sched.scheduler import ThreadCtx, TSOScheduler
 from repro.sched.runner import ScheduleArtifacts, run_scheduled
 from repro.sched.campaign import (
-    MultiScheduleSource,
     ScheduleRun,
     detect_schedules,
     derive_schedule_seed,
-    union_extent,
 )
 
 __all__ = [
@@ -29,9 +27,7 @@ __all__ = [
     "TSOScheduler",
     "ScheduleArtifacts",
     "run_scheduled",
-    "MultiScheduleSource",
     "ScheduleRun",
     "detect_schedules",
     "derive_schedule_seed",
-    "union_extent",
 ]

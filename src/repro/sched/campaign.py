@@ -23,21 +23,15 @@ are never re-verified.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.fault_injection import DetectionRun
 from repro.core.fpt import FailurePointTree
-from repro.core.harness import AdversarialImageSource, PrefixImageSource
 from repro.instrument.tracer import (
     GRANULARITY_PERSISTENCY,
     FailurePointObserver,
     MinimalTracer,
-)
-from repro.pmem.faultmodel import FaultModelConfig
-from repro.pmem.incremental import ENGINE_IMAGE_REPLAY, MaterialisedImage
-from repro.recovery.scheduler import (
-    persisted_write_extent,
-    persisted_write_seqs,
 )
 from repro.sched.config import SchedConfig
 from repro.sched.runner import ScheduleArtifacts, run_scheduled
@@ -57,21 +51,13 @@ def derive_schedule_seed(base_seed: int, sample: int) -> int:
 
 
 @dataclass
-class ScheduleRun:
-    """One sample's detection products."""
+class ScheduleRun(DetectionRun):
+    """One sample's detection products (``sched`` is the sample index)."""
 
-    #: Schedule id (the sample index; task/journal identity).
-    sched: int
     #: The derived scheduler seed this sample ran under.
-    schedule_seed: int
+    schedule_seed: int = 0
     #: The interleaving taken, e.g. ``("s0", "d0", "s1", ...)``.
-    schedule_trace: Tuple[str, ...]
-    #: The committed-store event trace (what crash images are built from).
-    trace: List[Any] = field(default_factory=list)
-    tree: FailurePointTree = field(default_factory=FailurePointTree)
-    initial_image: bytes = b""
-    #: Failure-point candidates the observer saw (pre occurrence-dedup).
-    candidates: int = 0
+    schedule_trace: Tuple[str, ...] = ()
 
 
 def _detect_one(
@@ -127,6 +113,7 @@ def _detect_one(
         tree=tree,
         initial_image=artifacts.initial_image,
         candidates=observer.candidates_seen,
+        threads=sched.threads,
     )
     return run, artifacts
 
@@ -166,107 +153,3 @@ def detect_schedules(
             first = artifacts
     assert first is not None
     return runs, first
-
-
-def union_extent(runs: Sequence[ScheduleRun]) -> Optional[Tuple[int, int]]:
-    """The campaign-wide persisted-write extent (union over samples).
-
-    Every engine of a scheduled campaign must digest over the *same*
-    extent or cross-sample DPOR aliasing breaks: two equivalent images
-    from different samples would hash different byte ranges.
-    """
-    start = None
-    stop = None
-    for run in runs:
-        extent = persisted_write_extent(run.trace)
-        if extent is None:
-            continue
-        if start is None or extent[0] < start:
-            start = extent[0]
-        if stop is None or extent[1] > stop:
-            stop = extent[1]
-    if start is None or stop is None:
-        return None
-    return (start, stop)
-
-
-def write_seqs_by_sched(runs: Sequence[ScheduleRun]) -> Dict[int, List[int]]:
-    """Per-schedule persisted-write seq lists for pre-dispatch grouping."""
-    return {run.sched: persisted_write_seqs(run.trace) for run in runs}
-
-
-class MultiScheduleSource:
-    """Image source dispatching on a task's schedule id.
-
-    Wraps one per-sample prefix/adversarial source; cursors create their
-    per-sample sub-cursors lazily, so a worker that only ever executes
-    tasks of one sample pays for one engine.
-    """
-
-    def __init__(
-        self,
-        runs: Sequence[ScheduleRun],
-        fault_model: Optional[FaultModelConfig] = None,
-        image_engine: str = ENGINE_IMAGE_REPLAY,
-    ):
-        self.image_engine = image_engine
-        self.sources: Dict[int, Any] = {}
-        for run in runs:
-            if fault_model is not None and fault_model.is_adversarial:
-                source = AdversarialImageSource(
-                    run.initial_image,
-                    run.trace,
-                    fault_model,
-                    image_engine=image_engine,
-                )
-            else:
-                source = PrefixImageSource(
-                    run.initial_image,
-                    run.trace,
-                    image_engine=image_engine,
-                )
-            self.sources[run.sched] = source
-
-    def cursor(self) -> "_MultiScheduleCursor":
-        return _MultiScheduleCursor(self)
-
-    def collect_stats(self):
-        """Fold every sub-source's image-engine counters into one."""
-        from repro.pmem.incremental import ImageEngineStats
-
-        total = ImageEngineStats()
-        for sched in sorted(self.sources):
-            total.merge(self.sources[sched].collect_stats())
-        return total
-
-
-class _MultiScheduleCursor:
-    """Worker-local cursor; tracks which sub-cursor owns a pooled image."""
-
-    def __init__(self, source: MultiScheduleSource):
-        self._source = source
-        self._cursors: Dict[int, Any] = {}
-        self._owner: Dict[int, Any] = {}
-
-    def _cursor_for(self, sched: int):
-        cursor = self._cursors.get(sched)
-        if cursor is None:
-            cursor = self._source.sources[sched].cursor()
-            self._cursors[sched] = cursor
-        return cursor
-
-    def __call__(self, task):
-        cursor = self._cursor_for(task.sched)
-        image = cursor(task)
-        if isinstance(image, MaterialisedImage):
-            # Pooled buffers must go back to the engine that issued them.
-            self._owner[id(image)] = cursor
-        return image
-
-    def release(self, image) -> None:
-        cursor = self._owner.pop(id(image), None)
-        if cursor is None:
-            return
-        release = getattr(cursor, "release", None)
-        if release is not None:
-            release(image)

@@ -1,6 +1,7 @@
 """Hypothesis property tests over the machine's persistency semantics."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pmem import CACHE_LINE_SIZE, PMachine
@@ -14,6 +15,14 @@ op_strategy = st.tuples(
     st.integers(0, 30),   # slot
     st.integers(1, 255),  # value byte
 )
+
+
+#: ``clflush`` of a line a weak flush already marked clean must still
+#: write the byte back: loads and the crash image both need it.
+CLFLUSH_AFTER_WEAK_FLUSH = [
+    [("store", 0, 1), ("clwb", 0, 1), ("clflush", 0, 1)],
+    [("store", 0, 1), ("clflushopt", 0, 1), ("clflush", 0, 1)],
+]
 
 
 def byte_model(script):
@@ -61,6 +70,8 @@ def drive(machine, script):
 class TestVisibilityProperties:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(op_strategy, max_size=50))
+    @example(CLFLUSH_AFTER_WEAK_FLUSH[0])
+    @example(CLFLUSH_AFTER_WEAK_FLUSH[1])
     def test_loads_always_see_latest_store(self, script):
         machine = PMachine(pm_size=PM_SIZE)
         visible = drive(machine, script)
@@ -70,6 +81,12 @@ class TestVisibilityProperties:
             assert value in low, (
                 f"slot {slot}: wrote {value}, line starts {low!r}"
             )
+
+    @pytest.mark.parametrize("script", CLFLUSH_AFTER_WEAK_FLUSH)
+    def test_clflush_after_weak_flush_persists_the_line(self, script):
+        machine = PMachine(pm_size=PM_SIZE)
+        drive(machine, script + [("sfence", 0, 1)])
+        assert machine.crash_image()[256] == 1
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(op_strategy, max_size=50))

@@ -3,8 +3,8 @@
 
 Mirrors ``tests/core/test_image_engine_campaign.py``'s contract for the
 image engine: findings, rendered reports and checkpoint journals are
-byte-identical with the engine on (verdict cache + machine pool +
-dedup) and fully off; parallel equals serial; campaigns resume across
+byte-identical with the engine on (verdict cache + machine pool) and
+fully off; parallel equals serial; campaigns resume across
 engine settings; and persisted verdict caches are adopted — or refused
 when the oracle scope differs.
 """
@@ -23,7 +23,7 @@ from repro.workloads import generate_workload
 N_OPS = 120
 SEED = 7
 
-#: Both engine levers off: the harness takes its legacy path.
+#: Both engine levers off: the harness runs without a recovery engine.
 ENGINE_OFF = dict(recovery_cache="off", machine_pool=0)
 
 APPS = {
@@ -148,16 +148,25 @@ class TestEngineEquivalence:
 
     def test_dedup_fires_and_preserves_findings(self):
         """Dense candidate planning (no store-required reduction) makes
-        distinct failure points share prefix images; followers are
-        replayed, findings unchanged."""
+        distinct failure points share prefix images; the verdict cache
+        aliases them by digest, findings unchanged."""
         dense = dict(require_store_since_last=False)
         on = run("btree", "prefix", **dense)
-        stats = on.fault_injection.stats
-        assert stats.recovery_dedup_groups > 0
-        assert stats.recovery_dedup_followers > 0
+        assert on.fault_injection.stats.recovery_cache_hits > 0
         off = run("btree", "prefix", **dense, **ENGINE_OFF)
         assert fingerprintable(on) == fingerprintable(off)
         assert on.report.render() == off.report.render()
+
+    def test_engine_off_parallel_journal_equals_serial(self, tmp_path):
+        """With the engine off, ``--jobs`` workers still journal in
+        campaign order, not completion order."""
+        journals = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.ckpt.jsonl"
+            run("hashmap_atomic", "torn_media", checkpoint_path=str(path),
+                jobs=jobs, **ENGINE_OFF)
+            journals[jobs] = path.read_bytes()
+        assert journals[1] == journals[2]
 
 
 # --------------------------------------------------------------------- #

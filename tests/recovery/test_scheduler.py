@@ -1,18 +1,14 @@
-"""Dedup scheduler unit tests: grouping, replay, ordered journalling."""
+"""Campaign-order units: the digest extent and ordered journalling."""
 
 import dataclasses
 
-from repro.core.harness import InjectionResult, InjectionTask
-from repro.core.oracle import RecoveryOutcome, RecoveryStatus
-from repro.pmem.machine import VOLATILE_BASE
-from repro.recovery.scheduler import (
+from repro.core.harness import (
+    InjectionResult,
+    InjectionTask,
     OrderedJournalWriter,
-    TaskGroup,
-    persisted_write_extent,
-    persisted_write_seqs,
-    plan_groups,
-    replay_result,
 )
+from repro.pmem.machine import VOLATILE_BASE
+from repro.recovery.digest import persisted_write_extent
 
 
 @dataclasses.dataclass
@@ -23,27 +19,13 @@ class FakeEvent:
     address: object = 0
 
 
-def task(index, seq, variant="prefix"):
-    return InjectionTask(
-        index=index, stack=(f"fn{index}",), seq=seq, variant=variant
-    )
+def task(index, seq):
+    return InjectionTask(index=index, stack=(f"fn{index}",), seq=seq)
 
 
 # --------------------------------------------------------------------- #
-# persisted_write_seqs
+# persisted_write_extent
 # --------------------------------------------------------------------- #
-
-
-def test_write_filter_mirrors_the_delta_journal():
-    trace = [
-        FakeEvent(seq=1),                                # counted
-        FakeEvent(seq=2, is_write=False),                # load
-        FakeEvent(seq=3, data=None),                     # fence/flush
-        FakeEvent(seq=4, address=None),                  # non-memory
-        FakeEvent(seq=5, address=VOLATILE_BASE),         # volatile window
-        FakeEvent(seq=6, address=VOLATILE_BASE - 64),    # counted
-    ]
-    assert persisted_write_seqs(trace) == [1, 6]
 
 
 def test_write_extent_is_line_aligned_and_covers_all_writes():
@@ -64,96 +46,6 @@ def test_write_extent_none_when_nothing_persists():
     assert persisted_write_extent(
         [FakeEvent(seq=1, is_write=False), FakeEvent(seq=2, data=None)]
     ) is None
-
-
-# --------------------------------------------------------------------- #
-# plan_groups
-# --------------------------------------------------------------------- #
-
-
-def test_equal_write_counts_collapse_to_one_group():
-    # Persisted writes at seqs 10, 20, 30.  Failure seqs 12 and 15 both
-    # admit exactly one write -> byte-identical prefix images.
-    tasks = [task(0, 12), task(1, 15), task(2, 25)]
-    groups = plan_groups(tasks, [10, 20, 30])
-    assert [g.leader.index for g in groups] == [0, 2]
-    assert [f.index for f in groups[0].followers] == [1]
-    assert len(groups[0]) == 2 and len(groups[1]) == 1
-
-
-def test_failure_at_a_write_seq_excludes_that_write():
-    """bisect_left: crashing *at* a write's seq means it has not
-    persisted yet, so seq==10 groups with seq==5, not with seq==11."""
-    groups = plan_groups([task(0, 5), task(1, 10), task(2, 11)], [10])
-    assert [f.index for f in groups[0].followers] == [1]
-    assert groups[1].leader.index == 2
-
-
-def test_adversarial_variants_are_singletons():
-    """Sampled bytes are only known at materialisation time; collisions
-    are the verdict cache's job, not the scheduler's."""
-    tasks = [task(0, 12, "torn:0"), task(1, 12, "torn:0"),
-             task(2, 12, "media:1")]
-    groups = plan_groups(tasks, [10])
-    assert all(not g.followers for g in groups)
-    assert len(groups) == 3
-
-
-def test_group_order_follows_leader_first_seen():
-    tasks = [task(0, 25), task(1, 5), task(2, 26), task(3, 6)]
-    groups = plan_groups(tasks, [10, 20])
-    assert [g.leader.index for g in groups] == [0, 1]
-    assert [f.index for f in groups[0].followers] == [2]
-    assert [f.index for f in groups[1].followers] == [3]
-
-
-def test_empty_inputs():
-    assert plan_groups([], []) == []
-    single = plan_groups([task(0, 1)], [])
-    assert single == [TaskGroup(leader=task(0, 1))]
-
-
-# --------------------------------------------------------------------- #
-# replay_result
-# --------------------------------------------------------------------- #
-
-
-def test_replay_rebinds_stack_and_rederives_finding():
-    leader_task = task(0, 12)
-    follower = task(5, 15)
-    outcome = RecoveryOutcome(
-        status=RecoveryStatus.CRASHED, error="boom", trace="tb",
-        stack_key=leader_task.stack,
-    )
-    leader_result = InjectionResult(
-        task=leader_task, outcome=outcome, finding="leader-finding",
-        attempts=3, materialise_seconds=0.5, recovery_seconds=0.7,
-    )
-    calls = {}
-
-    def make_finding(stack, seq, got_outcome, variant, sched=None):
-        calls.update(stack=stack, seq=seq, outcome=got_outcome,
-                     variant=variant, sched=sched)
-        return "follower-finding"
-
-    replayed = replay_result(leader_result, follower, make_finding)
-    assert replayed.task is follower
-    assert replayed.outcome.stack_key == follower.stack
-    assert replayed.outcome.status is RecoveryStatus.CRASHED
-    assert replayed.finding == "follower-finding"
-    assert calls["stack"] == follower.stack
-    assert calls["seq"] == follower.seq
-    assert calls["outcome"] is replayed.outcome
-    # Single-threaded tasks (sched == -1) re-derive with no schedule tag.
-    assert calls["sched"] is None
-    # Replays are free and first-try: no attempts, no wall-clock.
-    assert replayed.attempts == 1
-    assert replayed.restored is False
-    assert replayed.materialise_seconds == 0.0
-    assert replayed.recovery_seconds == 0.0
-    # The leader's own result is untouched.
-    assert leader_result.outcome.stack_key == leader_task.stack
-    assert leader_result.attempts == 3
 
 
 # --------------------------------------------------------------------- #
@@ -194,8 +86,8 @@ def test_sparse_and_unsorted_expected_indices():
 
 
 def test_flush_remaining_drains_stragglers_in_order():
-    """Defensive drain (e.g. a quarantined leader whose followers were
-    re-enqueued): whatever is buffered still lands index-ordered."""
+    """A drained campaign leaves gaps: whatever is buffered still lands
+    index-ordered."""
     recorded = []
     writer = OrderedJournalWriter(
         lambda r: recorded.append(r.task.index), [0, 1, 2]

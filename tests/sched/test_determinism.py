@@ -20,8 +20,8 @@ import pytest
 
 from repro.apps import THREADED_APPLICATIONS
 from repro.core import Mumak, MumakConfig
+from repro.core.harness import OrderedJournalWriter, task_order_key
 from repro.errors import CheckpointError
-from repro.recovery.scheduler import OrderedJournalWriter, task_order_key
 from repro.sched.config import SchedConfig
 from repro.workloads import generate_workload
 
@@ -72,6 +72,16 @@ class TestExecutionModeEquivalence:
             == fingerprintable(results["jobs"])
             == fingerprintable(results["shards"])
         )
+        shapes = {
+            tag: (
+                result.fault_injection.stats.schedules,
+                result.fault_injection.stats.sched_threads,
+            )
+            for tag, result in results.items()
+        }
+        assert shapes == {
+            tag: (SCHED.samples, SCHED.threads) for tag in results
+        }
 
 
 class TestScheduleBoundResume:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.recovery import VerdictCache
 
 
 def test_targets_lists_all(capsys):
@@ -84,6 +85,37 @@ def test_resume_requires_checkpoint(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "--resume requires --checkpoint" in err
+
+
+def _foreign_scope_cache(tmp_path):
+    path = str(tmp_path / "foreign.vcache")
+    VerdictCache("another-scope", path=path).close()
+    return ["--recovery-cache", path]
+
+
+@pytest.mark.parametrize("extra", [
+    lambda tmp: ["--jobs", "0"],
+    lambda tmp: ["--jobs", "-1"],
+    lambda tmp: ["--retries", "-1"],
+    lambda tmp: ["--adversarial-samples", "0"],
+    lambda tmp: ["--fleet", str(tmp / "fleet"), "--fleet-ttl", "0"],
+    lambda tmp: ["--checkpoint", str(tmp / "missing.jsonl"), "--resume"],
+    lambda tmp: ["--recovery-cache", str(tmp / "no-dir" / "v.vcache")],
+    _foreign_scope_cache,
+], ids=[
+    "jobs-zero", "jobs-negative", "retries-negative",
+    "adversarial-samples-zero", "fleet-ttl-zero", "resume-missing",
+    "cache-dir-missing", "cache-foreign-scope",
+])
+def test_analyze_bad_input_is_one_line_refusal(extra, tmp_path, capsys):
+    """Bad values and unusable files exit 2 with one stderr line, never a
+    traceback."""
+    code = main(["analyze", "btree", "--ops", "20", "--spt", "--bugs",
+                 "none", "--max-injections", "2"] + extra(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.slow
