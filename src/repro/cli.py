@@ -26,7 +26,7 @@ from repro.apps import (
     THREADED_APPLICATIONS,
     resolve_application,
 )
-from repro.apps.bugs import bugs_for_app, default_bugs_for
+from repro.apps.bugs import REGISTRY, bugs_for_app, default_bugs_for
 from repro.core import Mumak, MumakConfig
 from repro.errors import CheckpointError
 from repro.fabric import (
@@ -102,15 +102,12 @@ def _add_analyze(sub) -> None:
                              "1-4). Requires a multi-threaded target "
                              "(" + ", ".join(sorted(THREADED_APPLICATIONS))
                              + ") and --engine trace; findings and "
-                             "checkpoints are byte-identical across "
-                             "--jobs/--shards for the same spec")
+                             "checkpoints are byte-identical between "
+                             "serial and --shards runs of the same spec")
     parser.add_argument("--max-injections", type=int, default=None,
                         metavar="N",
                         help="cap the number of injected faults")
     # Hardened campaign runner (repro.core.harness).
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel injection workers (default 1; "
-                             "output is identical to a serial run)")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock watchdog per recovery call; "
@@ -196,10 +193,11 @@ def _add_analyze(sub) -> None:
                              "on/off")
     parser.add_argument("--machine-pool", type=int, default=1,
                         metavar="N", dest="machine_pool",
-                        help="booted machines kept per worker and "
-                             "reused across recovery runs by full-state "
-                             "reset (default 1; 0 boots a fresh machine "
-                             "per recovery)")
+                        help="booted machines kept per campaign (per "
+                             "shard process with --shards) and reused "
+                             "across recovery runs by full-state reset "
+                             "(default 1; 0 boots a fresh machine per "
+                             "recovery)")
     # Adversarial fault model (repro.pmem.faultmodel).
     parser.add_argument("--fault-model", choices=list(MODELS),
                         default="prefix", dest="fault_model",
@@ -277,6 +275,11 @@ def _cmd_analyze(args) -> int:
         options["bugs"] = frozenset()
     elif args.bugs != "default":
         options["bugs"] = frozenset(args.bugs.split(","))
+        unknown = sorted(options["bugs"] - REGISTRY.keys())
+        if unknown:
+            emit(f"--bugs: unknown bug id(s) {', '.join(unknown)} (list "
+                 f"them with 'mumak bugs {args.target}')", stream=sys.stderr)
+            return 2
 
     sched_config = None
     if args.sched is not None:
@@ -307,17 +310,23 @@ def _cmd_analyze(args) -> int:
         emit("--resume requires --checkpoint PATH", stream=sys.stderr)
         return 2
     for flag, value, low in (
-        ("--jobs", args.jobs, 1),
+        ("--ops", args.ops, 0),
+        ("--max-injections", args.max_injections, 0),
+        ("--step-budget", args.step_budget, 1),
         ("--retries", args.retries, 0),
         ("--shards", args.shards, 1),
         ("--adversarial-samples", args.adversarial_samples, 1),
     ):
-        if value < low:
+        if value is not None and value < low:
             emit(f"{flag} must be >= {low}", stream=sys.stderr)
             return 2
-    if args.fleet_ttl <= 0:
-        emit("--fleet-ttl must be > 0", stream=sys.stderr)
-        return 2
+    for flag, value in (
+        ("--timeout", args.timeout),
+        ("--fleet-ttl", args.fleet_ttl),
+    ):
+        if value is not None and value <= 0:
+            emit(f"{flag} must be > 0", stream=sys.stderr)
+            return 2
     recovery_cache = args.recovery_cache
     if recovery_cache.lower() in ("on", "off"):
         recovery_cache = recovery_cache.lower()
@@ -402,7 +411,6 @@ def _cmd_analyze(args) -> int:
         timeout_seconds=args.timeout,
         step_budget=args.step_budget,
         max_retries=args.retries,
-        jobs=args.jobs,
         checkpoint_path=args.checkpoint,
         checkpoint_interval=args.checkpoint_interval,
         shards=args.shards,

@@ -27,9 +27,7 @@ Three steps, each requiring less instrumentation than the previous one:
 
 Both engines route every recovery through the hardened campaign runner
 (:mod:`repro.core.harness`): watchdogged oracle execution, per-injection
-containment with retry + quarantine, optional checkpoint journaling, and
-(for the trace engine) a supervised parallel worker pool whose merged
-output is identical to a serial run.
+containment with retry + quarantine, and optional checkpoint journaling.
 """
 
 from __future__ import annotations
@@ -107,7 +105,6 @@ class FaultInjectionStats:
     hung: int = 0
     resource_exhausted: int = 0
     retries: int = 0
-    worker_deaths: int = 0
     #: Injections restored from a checkpoint instead of re-executed.
     resumed: int = 0
     # Concurrency-aware campaigns (repro.sched).
@@ -207,7 +204,6 @@ class FaultInjectionStats:
             "hung": self.hung,
             "resource_exhausted": self.resource_exhausted,
             "retries": self.retries,
-            "worker_deaths": self.worker_deaths,
             "resumed": self.resumed,
             "schedules": self.schedules,
             "sched_threads": self.sched_threads,
@@ -364,8 +360,8 @@ class FaultInjector:
         #: the campaign stops at the next task boundary, flushes its
         #: checkpoint, and reports ``drained=True``.
         self.stop = stop
-        #: Per-worker stall window for the heartbeat monitor (seconds;
-        #: 0 = off).
+        #: Per-shard (or per-fleet-worker) stall window for the
+        #: heartbeat monitor (seconds; 0 = off).
         self.stall_window = stall_window
 
     # ------------------------------------------------------------------ #
@@ -551,9 +547,9 @@ class FaultInjector:
         journal: Optional[CampaignJournal] = None,
         resume_state: Optional[Dict[int, InjectionResult]] = None,
     ) -> FaultInjectionResult:
-        """Injection over detected runs, in this process (serial, or
-        ``--jobs`` worker threads).  ``workload``/``seed`` serve only the
-        replay engine, which re-executes the target per failure point."""
+        """Injection over detected runs, serially in this process.
+        ``workload``/``seed`` serve only the replay engine, which
+        re-executes the target per failure point."""
         stats = self._stats(runs)
         if self.engine == ENGINE_REPLAY:
             return self._inject_by_replay(
@@ -809,9 +805,6 @@ class FaultInjector:
         # No trace to bound digests by: the verdict cache hashes whole
         # images (the machine pool applies as usual).
         recovery_engine = self.recovery_engine(())
-        session = (
-            recovery_engine.session() if recovery_engine is not None else None
-        )
 
         def room() -> bool:
             return self.max_injections is None or index < self.max_injections
@@ -849,7 +842,7 @@ class FaultInjector:
             image = injector.image
             result = execute_injection(
                 task, lambda _task: image, app_factory, self.harness,
-                telemetry=self.telemetry, recovery=session,
+                telemetry=self.telemetry, recovery=recovery_engine,
             )
             campaign.retries += result.attempts - 1
             campaign.results.append(result)
@@ -879,7 +872,7 @@ class FaultInjector:
                         app_factory,
                         self.harness,
                         telemetry=self.telemetry,
-                        recovery=session,
+                        recovery=recovery_engine,
                     )
                     campaign.retries += result.attempts - 1
                     campaign.results.append(result)
@@ -949,8 +942,8 @@ class FaultInjector:
     ) -> FaultInjectionResult:
         if source is not None:
             # Image accounting done in this process: planning, serial
-            # and --jobs execution, fleet local fallback (shards relay
-            # theirs through the stats beacon).
+            # execution, fleet local fallback (shards relay theirs
+            # through the stats beacon).
             collected = source.collect_stats()
             stats.absorb_image_stats(collected)
             if self.telemetry.enabled:
@@ -980,7 +973,6 @@ class FaultInjector:
                 stats.recovery_failures += 1
                 findings.append(result.finding)
         stats.retries += campaign.retries
-        stats.worker_deaths += campaign.worker_deaths
         stats.image_engine = self.image_engine
         stats.materialise_seconds += campaign.materialise_seconds
         stats.recovery_seconds += campaign.recovery_seconds

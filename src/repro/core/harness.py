@@ -7,7 +7,7 @@ in-process pipeline must build the same robustness explicitly, or a
 single hung, runaway, or infrastructure-crashing recovery kills an entire
 multi-thousand-injection campaign with no partial report.
 
-Four pillars, all routed through :func:`run_campaign`:
+Three pillars, all routed through :func:`run_campaign`:
 
 1. **Watchdogged oracle execution** — every recovery runs under a
    deadline enforced two ways: a wall-clock timeout (machine-level
@@ -25,20 +25,13 @@ Four pillars, all routed through :func:`run_campaign`:
    a JSON-lines file every K injections; an interrupted campaign resumed
    from its checkpoint renders a report byte-identical to an
    uninterrupted run (property-tested).
-4. **Supervised parallel execution** — a worker-pool executor
-   (``jobs > 1``) fans independent injections out, requeues work on
-   worker death, enforces the watchdog per task, and merges results in
-   deterministic (index-sorted) order so parallel output is identical to
-   serial output.
 """
-
 from __future__ import annotations
 
 import ctypes
 import hashlib
 import json
 import os
-import queue
 import threading
 import time
 import warnings
@@ -128,7 +121,7 @@ class HarnessConfig:
     """Knobs of the hardened campaign runner.
 
     The defaults are fully backwards compatible: no watchdog, no
-    checkpointing, serial execution, quarantine after two retries.
+    checkpointing, quarantine after two retries.
     """
 
     #: Wall-clock deadline per recovery call (None = unlimited).
@@ -140,15 +133,8 @@ class HarnessConfig:
     #: Base of the deterministic jittered backoff for transient errors,
     #: in seconds (0 disables sleeping entirely).
     backoff_base: float = 0.0
-    #: Worker threads for the parallel injection executor.
-    jobs: int = 1
-    #: How many times a task is re-queued after *worker* death before it
-    #: is quarantined as a poison pill.
-    max_requeues: int = 3
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
@@ -268,18 +254,14 @@ class InjectionTask:
     sched: int = -1
 
 
-def task_order_key(task) -> Tuple[int, int]:
+def task_order_key(task: InjectionTask) -> Tuple[int, int]:
     """Deterministic campaign order of a task: (schedule id, index).
 
     Single-threaded campaigns have ``sched == -1`` everywhere, so the
     key degenerates to plain index order — byte-compatible with every
-    journal written before the schedule axis existed.  Scheduled
-    campaigns may hand the harness tasks whose indices repeat across
-    samples; ordering (and journal re-serialisation) must then
-    discriminate on the schedule id or out-of-order completions under
-    ``--jobs`` reorder findings nondeterministically.
+    journal written before the schedule axis existed.
     """
-    return (getattr(task, "sched", -1), task.index)
+    return (task.sched, task.index)
 
 
 def same_injection(a: InjectionTask, b: InjectionTask) -> bool:
@@ -348,8 +330,6 @@ class CampaignResult:
     """Merged, deterministic (index-sorted) results of a campaign."""
 
     results: List[InjectionResult] = field(default_factory=list)
-    #: Worker deaths observed (parallel executor bookkeeping).
-    worker_deaths: int = 0
     retries: int = 0
     #: True when the campaign stopped early on a drain request (graceful
     #: SIGTERM/SIGINT): every completed result was journaled and the
@@ -482,12 +462,12 @@ def execute_injection(
     ``perf_counter`` deltas the result's materialise/recovery accounting
     accumulates — the two accountings agree by construction.
 
-    ``recovery`` (a :class:`~repro.recovery.RecoverySession`, optional)
+    ``recovery`` (a :class:`~repro.recovery.RecoveryEngine`, optional)
     adds the recovery engine to the hot path: the materialised image is
     digested and looked up in the verdict cache (a hit replays the
     memoised outcome, skipping the oracle entirely — the digest binds
     scope/variant/poisons so the replay is sound), misses run through
-    the session's machine-template pool and are stored back.  Digest +
+    the engine's machine-template pool and are stored back.  Digest +
     lookup time is billed to a separate ``recovery/cache`` span, never
     to the materialise/recovery accounting, so those splits remain
     engine-independent.
@@ -686,9 +666,9 @@ def execute_injection(
 
 
 class PrefixImageSource:
-    """Worker-local builder of program-order-prefix crash images.
+    """Builder of program-order-prefix crash images.
 
-    Each worker obtains its own cursor via :meth:`cursor`.  With
+    The campaign obtains its cursor via :meth:`cursor`.  With
     ``image_engine="incremental"`` (the production default upstream) the
     cursor is an :class:`~repro.pmem.incremental.IncrementalImageEngine`
     handing out pooled copy-on-write buffers: moving between consecutive
@@ -703,35 +683,17 @@ class PrefixImageSource:
         initial_image: bytes,
         trace: Sequence,
         image_engine: str = ENGINE_IMAGE_REPLAY,
-        stats: Optional[ImageEngineStats] = None,
     ):
         self._initial = initial_image
         self._trace = trace
         self.image_engine = validate_image_engine(image_engine)
-        #: Merged accounting across every cursor this source handed out.
-        self.stats = stats if stats is not None else ImageEngineStats()
-        self._cursor_stats: List[ImageEngineStats] = []
-
-    def _new_stats(self) -> ImageEngineStats:
-        # Cursors run on worker threads; each gets a private stats
-        # object (appending to a list is atomic under the GIL).
-        stats = ImageEngineStats()
-        self._cursor_stats.append(stats)
-        return stats
-
-    def collect_stats(self) -> ImageEngineStats:
-        """Fold per-cursor counters into :attr:`stats` and return it."""
-        for stats in self._cursor_stats:
-            self.stats.merge(stats)
-        self._cursor_stats = []
-        return self.stats
+        #: Accounting of every cursor this source handed out.
+        self.stats = ImageEngineStats()
 
     def cursor(self):
         if self.image_engine == ENGINE_IMAGE_INCREMENTAL:
-            return _IncrementalCursor(
-                self._initial, self._trace, self._new_stats()
-            )
-        return _PrefixCursor(self._initial, self._trace, self._new_stats())
+            return _IncrementalCursor(self._initial, self._trace, self.stats)
+        return _PrefixCursor(self._initial, self._trace, self.stats)
 
 
 class _PrefixCursor:
@@ -810,7 +772,7 @@ class AdversarialImageSource:
     cursor; adversarial variants are materialised on demand by an
     :class:`~repro.pmem.faultmodel.AdversarialImageFactory` seeded from
     the campaign's fault-model configuration — deterministically, so a
-    parallel, resumed, or repeated campaign sees identical images.
+    sharded, resumed, or repeated campaign sees identical images.
     """
 
     def __init__(
@@ -819,44 +781,27 @@ class AdversarialImageSource:
         trace: Sequence,
         fault_model: FaultModelConfig,
         image_engine: str = ENGINE_IMAGE_REPLAY,
-        stats: Optional[ImageEngineStats] = None,
     ):
         self._initial = initial_image
         self._trace = trace
         self.fault_model = fault_model
         self.image_engine = validate_image_engine(image_engine)
-        self.stats = stats if stats is not None else ImageEngineStats()
-        self._cursor_stats: List[ImageEngineStats] = []
-        #: Planner used on the campaign's main thread (task planning
-        #: happens before workers start; cursors get private factories).
+        #: Accounting of the planner and every cursor.
+        self.stats = ImageEngineStats()
+        #: The campaign planner's factory (planning runs before any
+        #: cursor materialises an image).
         self.factory = AdversarialImageFactory(
             fault_model, initial_image, trace,
-            image_engine=self.image_engine, stats=self._new_stats(),
+            image_engine=self.image_engine, stats=self.stats,
         )
 
-    def _new_stats(self) -> ImageEngineStats:
-        stats = ImageEngineStats()
-        self._cursor_stats.append(stats)
-        return stats
-
-    def collect_stats(self) -> ImageEngineStats:
-        """Fold per-cursor counters into :attr:`stats` and return it."""
-        for stats in self._cursor_stats:
-            self.stats.merge(stats)
-        self._cursor_stats = []
-        return self.stats
-
     def cursor(self) -> "_AdversarialCursor":
-        return _AdversarialCursor(self, self._new_stats())
+        return _AdversarialCursor(self)
 
 
 class _AdversarialCursor:
-    def __init__(
-        self,
-        source: AdversarialImageSource,
-        stats: Optional[ImageEngineStats] = None,
-    ):
-        stats = stats if stats is not None else ImageEngineStats()
+    def __init__(self, source: AdversarialImageSource):
+        stats = source.stats
         self._incremental = (
             source.image_engine == ENGINE_IMAGE_INCREMENTAL
         )
@@ -869,11 +814,12 @@ class _AdversarialCursor:
             self._prefix = _PrefixCursor(
                 source._initial, source._trace, stats
             )
-        # Worker-local factory: the planner cache is not thread-safe.
-        # The planner factory's already-built history index (if any) is
-        # forked into it — shared immutable O(T) build products, private
-        # query cursors — so N cursors cost one history pass total
-        # instead of one each.
+        # The cursor's own factory forks the planner's already-built
+        # history index (if any) — shared immutable O(T) build products,
+        # private query cursors — so it costs no second history pass.
+        # Reusing the planner's factory would do as well in a serial
+        # campaign; that waits on ``perfbench/tracer.py``, which patches
+        # ``IncrementalHistoryIndex.fork`` by name.
         self._factory = AdversarialImageFactory(
             source.fault_model, source._initial, source._trace,
             image_engine=source.image_engine, stats=stats,
@@ -911,7 +857,7 @@ class CampaignImageSource:
     campaign, one per schedule sample under ``--sched``); this wraps one
     prefix or adversarial source per run and dispatches each task on
     its run's schedule id.  Cursors create their per-run sub-cursors
-    lazily, so a worker that only executes tasks of one run pays for one
+    lazily, so a shard that only executes tasks of one run pays for one
     engine.
     """
 
@@ -943,15 +889,15 @@ class CampaignImageSource:
         return _CampaignCursor(self)
 
     def collect_stats(self) -> ImageEngineStats:
-        """Fold every run source's image-engine counters into one."""
+        """Every run source's image-engine counters, summed into one."""
         total = ImageEngineStats()
         for sched in sorted(self.sources):
-            total.merge(self.sources[sched].collect_stats())
+            total.merge(self.sources[sched].stats)
         return total
 
 
 class _CampaignCursor:
-    """Worker-local cursor; tracks which sub-cursor owns a pooled image."""
+    """The campaign's cursor; tracks which sub-cursor owns a pooled image."""
 
     def __init__(self, source: CampaignImageSource):
         self._source = source
@@ -1322,7 +1268,7 @@ def campaign_fingerprint(payload: dict) -> str:
 
 
 # --------------------------------------------------------------------- #
-# the campaign runner (serial + supervised parallel)
+# the campaign runner
 # --------------------------------------------------------------------- #
 
 
@@ -1337,58 +1283,6 @@ def _record_checkpoint(journal, result, telemetry) -> None:
     )
 
 
-class OrderedJournalWriter:
-    """Re-serialise out-of-order completions into campaign order.
-
-    ``record`` is called exactly once per result, in ascending
-    :func:`task_order_key` order over ``expected_keys``, no matter the
-    completion order, so a ``--jobs`` campaign journals exactly the
-    bytes a serial one does.
-
-    ``expected_keys`` accepts plain indices (single-threaded callers) or
-    ``(sched, index)`` keys; results are always buffered under their
-    full :func:`task_order_key`.  Keying on the bare index was a real
-    bug once schedule-variant tasks entered the plan: two samples can
-    emit the same per-sample index, and an out-of-order completion
-    under ``--jobs`` would overwrite one buffered result with the
-    other, reordering (and dropping) findings nondeterministically.
-    """
-
-    def __init__(self, record, expected_keys):
-        self._record = record
-        self._pending = {}
-        self._order = sorted(self._normalise(key) for key in expected_keys)
-        self._cursor = 0
-
-    @staticmethod
-    def _normalise(key):
-        """Accept a bare index or a (sched, index) pair as an order key."""
-        if isinstance(key, tuple):
-            return key
-        return (-1, key)
-
-    def offer(self, result):
-        """Accept one completed result; drain whatever is now ready."""
-        self._pending[task_order_key(result.task)] = result
-        while self._cursor < len(self._order):
-            key = self._order[self._cursor]
-            ready = self._pending.pop(key, None)
-            if ready is None:
-                break
-            self._record(ready)
-            self._cursor += 1
-
-    def flush_remaining(self):
-        """Drain whatever is still buffered (a drained campaign left a
-        gap), in campaign order."""
-        for key in sorted(self._pending):
-            self._record(self._pending.pop(key))
-
-    @property
-    def buffered(self):
-        return len(self._pending)
-
-
 def run_campaign(
     tasks: Sequence[InjectionTask],
     image_source: CampaignImageSource,
@@ -1401,18 +1295,16 @@ def run_campaign(
     heartbeat=None,
     recovery=None,
     stop: Optional[threading.Event] = None,
-    _worker_fault: Optional[Callable[[int, InjectionTask], None]] = None,
 ) -> CampaignResult:
     """Run an injection campaign to completion, whatever the targets do.
 
-    ``resume_state`` (from :func:`load_checkpoint`) short-circuits
-    already-completed tasks; ``journal`` checkpoints fresh completions,
-    always in campaign order (:class:`OrderedJournalWriter`), so serial
-    and parallel runs journal identical bytes.  ``telemetry`` (a
+    Tasks run one after another, in plan order.  ``resume_state`` (from
+    :func:`load_checkpoint`) short-circuits already-completed tasks;
+    ``journal`` checkpoints each fresh result as it completes, so the
+    journal is in campaign order.  ``telemetry`` (a
     :class:`repro.obs.Telemetry`, observation-only) and ``heartbeat`` (a
     :class:`repro.obs.HeartbeatMonitor`) stream spans and progress; both
-    default to inert.  ``_worker_fault`` is a test hook invoked at task
-    pickup inside the parallel workers (raising simulates worker death).
+    default to inert.
 
     ``stop`` (a :class:`threading.Event`, optional) requests a graceful
     drain: the campaign stops picking up new work at the next task
@@ -1422,7 +1314,7 @@ def run_campaign(
 
     ``recovery`` (a :class:`~repro.recovery.RecoveryEngine`, optional)
     routes every recovery through the engine's verdict cache and machine
-    pool; one session per worker.
+    pool.
     """
     config = config or HarnessConfig()
     campaign = CampaignResult()
@@ -1433,186 +1325,25 @@ def run_campaign(
         if heartbeat is not None:
             heartbeat.note(result)
 
-    writer = None
-    if journal is not None:
-        writer = OrderedJournalWriter(
-            lambda result: _record_checkpoint(journal, result, telemetry),
-            [task_order_key(task) for task in todo],
+    cursor = image_source.cursor()
+    for task in todo:
+        if stop is not None and stop.is_set():
+            campaign.drained = True
+            break
+        result = execute_injection(
+            task, cursor, app_factory, config, sleep=sleep,
+            telemetry=telemetry, recovery=recovery,
         )
-
-    def finish(result: InjectionResult, count_retries: bool = True) -> None:
-        if count_retries:
-            campaign.retries += result.attempts - 1
+        campaign.retries += result.attempts - 1
         campaign.results.append(result)
-        if writer is not None:
-            writer.offer(result)
+        if journal is not None:
+            _record_checkpoint(journal, result, telemetry)
         if heartbeat is not None:
             heartbeat.note(result)
 
-    if config.jobs <= 1 or len(todo) <= 1:
-        cursor = image_source.cursor()
-        session = recovery.session() if recovery is not None else None
-        for task in todo:
-            if stop is not None and stop.is_set():
-                campaign.drained = True
-                break
-            finish(execute_injection(
-                task, cursor, app_factory, config, sleep=sleep,
-                telemetry=telemetry, recovery=session,
-            ))
-    else:
-        _run_parallel(
-            todo,
-            image_source,
-            app_factory,
-            config,
-            campaign,
-            finish,
-            sleep,
-            telemetry,
-            heartbeat,
-            recovery,
-            stop,
-            _worker_fault,
-        )
-
-    if writer is not None:
-        writer.flush_remaining()
     if heartbeat is not None:
         heartbeat.finish()
     if journal is not None:
         journal.flush()
     campaign.results.sort(key=lambda r: task_order_key(r.task))
     return campaign
-
-
-def _run_parallel(
-    todo: List[InjectionTask],
-    image_source: CampaignImageSource,
-    app_factory: Callable[[], Any],
-    config: HarnessConfig,
-    campaign: CampaignResult,
-    finish: Callable[[InjectionResult], None],
-    sleep: Callable[[float], None],
-    telemetry,
-    heartbeat,
-    recovery,
-    stop: Optional[threading.Event],
-    worker_fault: Optional[Callable[[int, InjectionTask], None]],
-) -> None:
-    pending: "queue.Queue[InjectionTask]" = queue.Queue()
-    for task in todo:
-        pending.put(task)
-    events: "queue.Queue[tuple]" = queue.Queue()
-    shutdown = threading.Event()
-    requeues: Dict[int, int] = {}
-    worker_serial = [0]
-    #: Per-worker telemetry endpoints, folded back at the supervisor
-    #: (list.append is atomic under the GIL; merge happens after join).
-    worker_telemetry: List[Any] = []
-
-    def worker(worker_id: int) -> None:
-        cursor = image_source.cursor()
-        session = recovery.session() if recovery is not None else None
-        wtel = telemetry.child(worker_id)
-        worker_telemetry.append(wtel)
-        while not shutdown.is_set():
-            try:
-                task = pending.get(timeout=0.02)
-            except queue.Empty:
-                continue
-            try:
-                if worker_fault is not None:
-                    worker_fault(worker_id, task)
-                result = execute_injection(
-                    task, cursor, app_factory, config, sleep=sleep,
-                    telemetry=wtel, recovery=session,
-                )
-            except BaseException as err:  # noqa: BLE001 - worker death
-                events.put(("death", worker_id, task, err))
-                return  # the worker thread is gone; supervisor respawns
-            events.put(("done", worker_id, task, result))
-
-    def spawn() -> threading.Thread:
-        worker_serial[0] += 1
-        thread = threading.Thread(
-            target=worker,
-            args=(worker_serial[0],),
-            daemon=True,
-            name=f"mumak-injector-{worker_serial[0]}",
-        )
-        thread.start()
-        return thread
-
-    workers = [spawn() for _ in range(config.jobs)]
-    completed = 0
-    try:
-        while completed < len(todo):
-            if stop is not None and stop.is_set():
-                # Graceful drain: stop handing out work; in-flight
-                # injections finish in their workers but are not waited
-                # for — their tasks simply re-run after resume.
-                campaign.drained = True
-                break
-            try:
-                kind, worker_id, task, payload = events.get(timeout=0.05)
-            except queue.Empty:
-                if heartbeat is not None:
-                    heartbeat.check_stalls()
-                continue
-            if heartbeat is not None:
-                heartbeat.note_worker(worker_id)
-            if kind == "death":
-                campaign.worker_deaths += 1
-                telemetry.counter("worker_deaths")
-                telemetry.event(
-                    "campaign/injection/worker_death",
-                    task=task.index,
-                    dead_worker=worker_id,
-                    error=f"{type(payload).__name__}: {payload}",
-                )
-                count = requeues.get(task.index, 0) + 1
-                requeues[task.index] = count
-                if count > config.max_requeues:
-                    # Poison pill: the task killed several workers in a
-                    # row.  Quarantine it instead of thrashing the pool.
-                    result = InjectionResult(
-                        task,
-                        quarantine=QuarantineRecord(
-                            stack=task.stack,
-                            seq=task.seq,
-                            phase="recovery",
-                            attempts=count,
-                            error=(
-                                "task killed "
-                                f"{count} worker(s): "
-                                f"{type(payload).__name__}: {payload}"
-                            ),
-                            trace=format_capped_trace(payload),
-                        ),
-                        attempts=count,
-                    )
-                    telemetry.counter(
-                        "quarantined_injections",
-                        phase="recovery",
-                        variant=task.variant,
-                    )
-                    # Requeue-thrash attempts are not campaign retries
-                    # (legacy accounting, preserved).
-                    finish(result, count_retries=False)
-                    completed += 1
-                else:
-                    pending.put(task)
-                workers = [t for t in workers if t.is_alive()]
-                workers.append(spawn())
-                continue
-            finish(payload)
-            completed += 1
-    finally:
-        shutdown.set()
-    for thread in workers:
-        thread.join(timeout=2.0)
-    # Fold per-worker streams/registries into the supervisor; finalize
-    # later stamps the merged stream's global seq deterministically.
-    for wtel in sorted(worker_telemetry, key=lambda t: t.worker):
-        telemetry.merge_child(wtel)

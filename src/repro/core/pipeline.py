@@ -81,7 +81,9 @@ class MumakConfig:
     step_budget: Optional[int] = None
     #: Containment retries before an injection is quarantined.
     max_retries: int = 2
-    #: Worker threads for the parallel injection executor.
+    #: Always 1: in-process injection is serial, and a parallel
+    #: campaign runs in shard processes (``shards``).  Any other value
+    #: is refused.
     jobs: int = 1
     #: Path of the campaign checkpoint journal (None = no checkpointing).
     checkpoint_path: Optional[str] = None
@@ -124,8 +126,8 @@ class MumakConfig:
     #: (target name, app options, workload parameters).  Built by the
     #: CLI; required when ``fleet_dir`` is set.
     campaign_spec: Optional[dict] = None
-    #: Per-worker (or per-shard) silence window, in seconds, before a
-    #: ``worker_stalled`` event is emitted (0 = off).
+    #: Per-shard (or per-fleet-worker) silence window, in seconds,
+    #: before a ``worker_stalled`` event is emitted (0 = off).
     stall_window_seconds: float = 0.0
     # ---- concurrency-aware schedules (repro.sched) ---- #
     #: Concurrency-aware campaign: run the target's thread bodies under
@@ -154,8 +156,9 @@ class MumakConfig:
     #: Findings, journals, and reports are byte-identical on/off
     #: (differential-tested).
     recovery_cache: str = "on"
-    #: Machines kept booted per worker for recovery-run reuse (0 =
-    #: construct a fresh machine per recovery, the legacy path).
+    #: Machines kept booted per campaign (per shard process under
+    #: ``shards``) for recovery-run reuse (0 = construct a fresh
+    #: machine per recovery, the legacy path).
     machine_pool: int = 1
     # ---- observability (repro.obs) ---- #
     #: Record structured telemetry (spans + metrics registry) for this
@@ -176,6 +179,13 @@ class MumakConfig:
     #: Callable receiving rendered heartbeat lines (None = events only).
     obs_sink: Optional[Callable[[str], None]] = None
 
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise ValueError(
+                f"jobs={self.jobs}: in-process injection is serial; use "
+                "shards=N to run the campaign in N worker processes"
+            )
+
     @property
     def obs_active(self) -> bool:
         return self.obs_enabled or self.obs_dir is not None
@@ -185,7 +195,6 @@ class MumakConfig:
             timeout_seconds=self.timeout_seconds,
             step_budget=self.step_budget,
             max_retries=self.max_retries,
-            jobs=self.jobs,
         )
 
     def fingerprint_payload(self, target_name: str) -> dict:
@@ -219,17 +228,16 @@ class MumakConfig:
     def fingerprint(self, target_name: str) -> str:
         """Campaign identity used to guard checkpoint resumption.
 
-        Deliberately excludes ``jobs``, checkpoint knobs,
-        ``image_engine``, the recovery-engine knobs
-        (``recovery_cache`` / ``machine_pool``), and the fabric/fleet
-        knobs (``shards`` / ``chaos`` / ``stop_event`` / ``fleet_*`` /
-        ``transport_chaos``): parallel, serial, sharded, fleet, and
-        chaos-killed campaigns are equivalent by construction, where
-        the journal lives does not change what it records, and both the
-        incremental image engine and the recovery engine are
-        differential-tested byte-identical to their references — a
-        campaign checkpointed under one setting may resume under
-        another.
+        Deliberately excludes checkpoint knobs, ``image_engine``, the
+        recovery-engine knobs (``recovery_cache`` / ``machine_pool``),
+        and the fabric/fleet knobs (``shards`` / ``chaos`` /
+        ``stop_event`` / ``fleet_*`` / ``transport_chaos``): serial,
+        sharded, fleet, and chaos-killed campaigns are equivalent by
+        construction, where the journal lives does not change what it
+        records, and both the incremental image engine and the recovery
+        engine are differential-tested byte-identical to their
+        references — a campaign checkpointed under one setting may
+        resume under another.
         """
         return campaign_fingerprint(self.fingerprint_payload(target_name))
 
@@ -479,7 +487,7 @@ class Mumak:
         usage,
         resume_from: Optional[str],
     ) -> FaultInjectionResult:
-        """The injection phase in this process (serial or ``--jobs``)."""
+        """The injection phase, serially in this process."""
         config = self.config
         fingerprint = config.fingerprint(target_name)
         resume_state = None

@@ -699,12 +699,6 @@ class _WorkerBeacon:
         if self.worker._should_stop():
             self.stop_event.set()
 
-    def note_worker(self, worker_id) -> None:
-        pass
-
-    def check_stalls(self) -> list:
-        return []
-
     def finish(self) -> None:
         pass
 
@@ -965,7 +959,6 @@ def _rebuild_campaign(spec: dict):
         timeout_seconds=spec.get("timeout_seconds"),
         step_budget=spec.get("step_budget"),
         max_retries=spec.get("max_retries", 2),
-        jobs=1,
     )
     recovery_cfg = None
     if spec.get("recovery_cache_enabled", True):
@@ -1041,9 +1034,7 @@ def _run_lease(
             except (TransportMissing, TransportError):
                 continue
     stop = stop_event or threading.Event()
-    beacon = _WorkerBeacon(
-        _LeaseWorkerShim(worker), queue, lease, stop
-    )
+    beacon = _WorkerBeacon(worker, queue, lease, stop)
     try:
         run_campaign(
             slice_tasks,
@@ -1067,19 +1058,6 @@ def _run_lease(
             cache_bytes = fh.read()
     _ship(fleet_transport, lease, journal_bytes, cache_bytes, count_retry)
     return len(slice_tasks)
-
-
-class _LeaseWorkerShim:
-    """Adapts `_WorkerIO` to the `_WorkerBeacon.worker` surface."""
-
-    def __init__(self, io: _WorkerIO):
-        self._io = io
-
-    def _beat(self, slice_id: int, done: int) -> None:
-        self._io._beat(slice_id, done)
-
-    def _should_stop(self) -> bool:
-        return self._io._should_stop()
 
 
 def _header_only_journal(fingerprint: str, seed: int) -> bytes:

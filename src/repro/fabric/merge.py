@@ -13,9 +13,7 @@ serial run would have written:
   a crash mid-merge leaves either the old journal or the new one, never
   a half-merged hybrid.  The merged bytes are identical to the journal a
   serial campaign writes: same header dump, same record dump, same
-  ascending-index order (serial completion order *is* index order, and
-  :class:`~repro.core.harness.OrderedJournalWriter` keeps ``--jobs``
-  journals in it too).
+  ascending-index order (serial completion order *is* index order).
 * :func:`merge_vcaches` folds shard verdict caches into the campaign
   cache through :meth:`~repro.recovery.cache.VerdictCache.store_record`,
   which deduplicates by digest and keeps refusing ``INFRA_ERROR``.

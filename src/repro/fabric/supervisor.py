@@ -154,12 +154,6 @@ class ShardBeacon:
         """Best-effort end-of-shard stats relay (lost on SIGKILL)."""
         self._events.put(("stats", self.shard_id, payload))
 
-    def note_worker(self, worker_id) -> None:  # in-shard thread progress
-        pass
-
-    def check_stalls(self) -> list:
-        return []
-
     def finish(self) -> None:
         pass
 

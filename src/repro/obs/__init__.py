@@ -8,8 +8,8 @@ Dependency-free telemetry for the injection pipeline, in four pieces:
   incremental engine's pool/copy stats, and the harness retry/quarantine
   bookkeeping (each of those now ``publish()``-es itself here);
 * :mod:`repro.obs.spans` — hierarchical spans and the per-campaign JSONL
-  event stream (every event: ``ts``/``span``/``seq``/``worker``), with
-  per-worker streams merged and seq-stamped at the supervisor;
+  event stream (every event: ``ts``/``span``/``seq``/``worker``),
+  seq-stamped in a deterministic order at finalize;
 * :mod:`repro.obs.heartbeat` — live progress heartbeats (fp/s, ETA,
   quarantine + HUNG counts), rendered by the CLI and recorded as events;
 * :mod:`repro.obs.export` / :mod:`repro.obs.report` — Prometheus text
@@ -18,8 +18,7 @@ Dependency-free telemetry for the injection pipeline, in four pieces:
 
 Telemetry is **observation-only**: with ``--obs`` on or off, findings,
 campaign fingerprints, and checkpoint journals are byte-identical
-(differential-tested), and parallel ≡ serial still holds with telemetry
-enabled.
+(differential-tested).
 """
 
 from repro.obs.export import (

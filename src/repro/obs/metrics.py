@@ -15,9 +15,8 @@ Design constraints, inherited from the campaign's determinism contract:
   label items)`` and every snapshot/export walks them in sorted order, so
   two identical campaigns render byte-identical Prometheus/JSON output
   (timestamps and durations aside);
-* **mergeable** — parallel campaign workers each own a private registry
-  (no locks on the hot path); the supervisor folds them with
-  :meth:`MetricsRegistry.merge`;
+* **mergeable** — registries recorded apart (one per shard process,
+  say) fold into one with :meth:`MetricsRegistry.merge`;
 * **fixed log-scale histogram buckets** — the bucket boundaries are a
   constant of the format (half-decade steps from 1 µs to 10 ks), never
   derived from the data, so histograms from different runs, workers, and

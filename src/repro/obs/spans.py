@@ -15,20 +15,15 @@ campaign fingerprints, findings, or checkpoint journals.  The
 differential battery (``tests/core/test_obs_campaign.py``) holds a
 telemetry-on run byte-identical to a telemetry-off run.
 
-**Workers and determinism.**  The parallel executor gives every worker a
-:meth:`Telemetry.child` (private registry + private event list — no
-locks on the hot path); the supervisor folds children back with
-:meth:`Telemetry.merge_child`.  :meth:`Telemetry.finalize` then stamps
-the global ``seq`` over the merged stream in a *deterministic total
-order*: events sort by ``(ts, worker, local_seq)`` — ``ts`` is seconds
-since campaign start on a clock shared by all workers, and the
-``(worker, local_seq)`` tiebreak makes the order a well-defined function
-of the recorded stream rather than of racy interleaving.
+**Determinism.**  :meth:`Telemetry.finalize` stamps the global ``seq``
+over the stream in a *deterministic total order*: events sort by
+``(ts, local_seq)`` — ``ts`` is seconds since campaign start and
+``local_seq`` is the append order, which breaks timestamp ties.
 
 Every event carries the four schema-stable fields asserted by the fast
 schema test: ``ts`` (float seconds since campaign start), ``span`` (the
 hierarchical path), ``seq`` (global stamp, assigned at finalize),
-``worker`` (int; 0 is the supervisor/serial path).  ``kind`` is one of
+``worker`` (int; 0 is the in-process campaign).  ``kind`` is one of
 :data:`EVENT_KINDS`; span events add ``dur`` (seconds); free-form
 attributes ride under ``attrs``.
 
@@ -98,12 +93,6 @@ class NullTelemetry:
     def observe(self, name: str, value: float, **labels) -> None:
         pass
 
-    def child(self, worker: int) -> "NullTelemetry":
-        return self
-
-    def merge_child(self, child: "NullTelemetry") -> None:
-        pass
-
     def finalize(self) -> List[dict]:
         return []
 
@@ -148,18 +137,15 @@ class Telemetry:
         registry: Optional[MetricsRegistry] = None,
         worker: int = 0,
         clock=time.perf_counter,
-        _epoch: Optional[float] = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.worker = worker
         self._clock = clock
-        #: Campaign epoch on the shared clock; children inherit it so
-        #: every worker's ``ts`` is comparable.
-        self._epoch = clock() if _epoch is None else _epoch
+        #: Campaign epoch: every event's ``ts`` is relative to it.
+        self._epoch = clock()
         self._events: List[dict] = []
         self._local_seq = 0
         self._stack: List[str] = []
-        self._children: List["Telemetry"] = []
         self._finalized: Optional[List[dict]] = None
 
     # -- span + event API ----------------------------------------------- #
@@ -221,38 +207,17 @@ class Telemetry:
     def observe(self, name: str, value: float, **labels) -> None:
         self.registry.histogram(name, **labels).observe(value)
 
-    # -- worker fan-out / fan-in ---------------------------------------- #
-
-    def child(self, worker: int) -> "Telemetry":
-        """A private endpoint for one parallel worker (no shared state
-        beyond the campaign epoch/clock)."""
-        return Telemetry(
-            registry=MetricsRegistry(),
-            worker=worker,
-            clock=self._clock,
-            _epoch=self._epoch,
-        )
-
-    def merge_child(self, child: "Telemetry") -> None:
-        """Fold a worker endpoint back into the supervisor."""
-        if child is self:
-            return
-        self.registry.merge(child.registry)
-        # Snapshot: an abandoned watchdog thread may still be appending.
-        self._children.append(child)
-
     def finalize(self) -> List[dict]:
-        """Merge all streams and stamp the global ``seq``.
+        """Order the stream and stamp the global ``seq``.
 
-        Deterministic total order: ``(ts, worker, local_seq)``.  Safe to
-        call more than once (idempotent after the first call).
+        Deterministic total order: ``(ts, local_seq)``.  Safe to call
+        more than once (idempotent after the first call).
         """
         if self._finalized is not None:
             return self._finalized
+        # Snapshot: an abandoned watchdog thread may still be appending.
         merged: List[dict] = list(self._events)
-        for child in self._children:
-            merged.extend(list(child._events))
-        merged.sort(key=lambda e: (e["ts"], e["worker"], e["_local"]))
+        merged.sort(key=lambda e: (e["ts"], e["_local"]))
         for seq, record in enumerate(merged):
             record["seq"] = seq
             record.pop("_local", None)

@@ -249,8 +249,8 @@ class IncrementalImageEngine:
     buffers for the oracle to recover against and reconcile them on
     reuse.
 
-    Not thread-safe: campaign workers each own one engine (the image
-    source hands a fresh one to every cursor).
+    Not thread-safe: every cursor owns one engine (the image source
+    hands a fresh one to each).
     """
 
     def __init__(
@@ -491,9 +491,9 @@ class IncrementalHistoryIndex:
         The O(T) ``_build`` products (``_records``, written/torn
         tables) are immutable after construction and safely shared; the
         mutable *query* state (candidate sweep cursor, size-1 caches)
-        is private per fork, so parallel workers — or a per-cursor
-        :class:`~repro.pmem.faultmodel.AdversarialImageFactory` — can
-        each hold a fork and sweep independently without a second
+        is private per fork, so a per-cursor
+        :class:`~repro.pmem.faultmodel.AdversarialImageFactory` can hold
+        a fork and sweep independently of the planner without a second
         history pass.
         """
         forked = object.__new__(IncrementalHistoryIndex)

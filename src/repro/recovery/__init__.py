@@ -41,7 +41,6 @@ from repro.recovery.engine import (
     RecoveryEngine,
     RecoveryEngineConfig,
     RecoveryEngineStats,
-    RecoverySession,
 )
 from repro.recovery.pool import MachineTemplatePool
 
@@ -51,7 +50,6 @@ __all__ = [
     "RecoveryEngine",
     "RecoveryEngineConfig",
     "RecoveryEngineStats",
-    "RecoverySession",
     "VerdictCache",
     "VerdictCacheError",
     "persisted_write_extent",

@@ -1,9 +1,8 @@
 """The verdict memo cache: digest → recovery outcome.
 
-Identical crash images are verified once.  The cache is shared by all
-workers of a campaign (thread-safe) and optionally persists to a JSONL
-file next to the campaign checkpoint so ``--resume`` skips
-re-verification entirely.
+Identical crash images are verified once.  The cache is thread-safe and
+optionally persists to a JSONL file next to the campaign checkpoint so
+``--resume`` skips re-verification entirely.
 
 Persistence follows the checkpoint-journal discipline from PR 1:
 

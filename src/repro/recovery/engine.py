@@ -1,13 +1,10 @@
 """The recovery engine facade the harness consumes.
 
-:class:`RecoveryEngine` owns the campaign-wide pieces — one
-:class:`~repro.recovery.digest.ImageDigester`, one (optionally
-persistent) :class:`~repro.recovery.cache.VerdictCache`, and the
-aggregated :class:`RecoveryEngineStats`.  Each worker (or the serial
-loop) opens a :class:`RecoverySession`, which adds a private
-:class:`~repro.recovery.pool.MachineTemplatePool` and private hit/miss
-counters so no cross-thread contention happens outside the cache's own
-lock; ``collect_stats`` folds the sessions back into the engine.
+:class:`RecoveryEngine` owns one campaign's (or one shard's) pieces —
+one :class:`~repro.recovery.digest.ImageDigester`, one (optionally
+persistent) :class:`~repro.recovery.cache.VerdictCache`, one
+:class:`~repro.recovery.pool.MachineTemplatePool`, and the
+:class:`RecoveryEngineStats` its hit/miss counters accumulate in.
 
 The engine is config-gated at two independent levers
 (:class:`RecoveryEngineConfig`): the verdict cache (``recovery_cache``)
@@ -17,7 +14,6 @@ runs without an engine.
 
 import dataclasses
 import os
-import threading
 
 from repro.obs.spans import NULL_TELEMETRY
 from repro.recovery.cache import VerdictCache, VerdictCacheError
@@ -89,14 +85,6 @@ class RecoveryEngineStats:
     pool_boots: int = 0
     pool_reuses: int = 0
 
-    def merge(self, other: "RecoveryEngineStats"):
-        for field in dataclasses.fields(self):
-            setattr(
-                self,
-                field.name,
-                getattr(self, field.name) + getattr(other, field.name),
-            )
-
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -124,8 +112,11 @@ class RecoveryEngine:
         if config.cache_enabled:
             self.cache = VerdictCache(config.scope, path=config.cache_path)
             self.stats.cache_loaded = self.cache.loaded
-        self._lock = threading.Lock()
-        self._sessions = []
+        self.pool = (
+            MachineTemplatePool(config.machine_pool)
+            if config.machine_pool > 0
+            else None
+        )
 
     @classmethod
     def for_slice(cls, config, extent, journal_path, donors=()):
@@ -159,26 +150,36 @@ class RecoveryEngine:
             engine.stats.cache_loaded = engine.cache.loaded
         return engine
 
-    # -- sessions -----------------------------------------------------
+    # -- the hot path -------------------------------------------------
 
-    def session(self) -> "RecoverySession":
-        """A per-worker session (private pool + private counters)."""
-        created = RecoverySession(self)
-        with self._lock:
-            self._sessions.append(created)
-        return created
+    @property
+    def caching(self) -> bool:
+        return self.cache is not None
+
+    def digest(self, image, poisoned_lines=(), variant=None):
+        if variant is None:
+            return self.digester.digest(image, poisoned_lines)
+        return self.digester.digest(image, poisoned_lines, variant=variant)
+
+    def lookup(self, digest):
+        """Cached outcome record for ``digest`` (counts hit/miss)."""
+        record = self.cache.lookup(digest)
+        if record is None:
+            self.stats.cache_misses += 1
+        else:
+            self.stats.cache_hits += 1
+        return record
+
+    def store(self, digest, outcome):
+        return self.cache.store(digest, outcome)
 
     # -- lifecycle ----------------------------------------------------
 
     def collect_stats(self) -> RecoveryEngineStats:
-        """Fold finished sessions into the engine-wide stats."""
-        with self._lock:
-            sessions, self._sessions = self._sessions, []
-        for session in sessions:
-            self.stats.merge(session.stats)
-            if session.pool is not None:
-                self.stats.pool_boots += session.pool.boots
-                self.stats.pool_reuses += session.pool.reuses
+        """The engine's stats, with the pool and cache totals filled in."""
+        if self.pool is not None:
+            self.stats.pool_boots = self.pool.boots
+            self.stats.pool_reuses = self.pool.reuses
         if self.cache is not None:
             self.stats.cache_stored = len(self.cache) - self.stats.cache_loaded
             self.stats.cache_bytes_written = self.cache.bytes_written
@@ -195,45 +196,3 @@ class RecoveryEngine:
 
     def __exit__(self, *exc):
         self.close()
-
-
-class RecoverySession:
-    """One worker's view of the engine.
-
-    The digester and cache are shared (the cache is thread-safe); the
-    machine pool and counters are private, so concurrent workers never
-    contend outside the cache's own lock.
-    """
-
-    def __init__(self, engine: RecoveryEngine):
-        self.engine = engine
-        self.config = engine.config
-        self.stats = RecoveryEngineStats()
-        self.pool = (
-            MachineTemplatePool(engine.config.machine_pool)
-            if engine.config.machine_pool > 0
-            else None
-        )
-
-    @property
-    def caching(self) -> bool:
-        return self.engine.cache is not None
-
-    def digest(self, image, poisoned_lines=(), variant=None):
-        if variant is None:
-            return self.engine.digester.digest(image, poisoned_lines)
-        return self.engine.digester.digest(
-            image, poisoned_lines, variant=variant
-        )
-
-    def lookup(self, digest):
-        """Cached outcome record for ``digest`` (counts hit/miss)."""
-        record = self.engine.cache.lookup(digest)
-        if record is None:
-            self.stats.cache_misses += 1
-        else:
-            self.stats.cache_hits += 1
-        return record
-
-    def store(self, digest, outcome):
-        return self.engine.cache.store(digest, outcome)

@@ -3,7 +3,7 @@
 Constructing a :class:`~repro.pmem.machine.PMachine` per recovery run —
 medium, cache, tracing scaffolding — is the dominant share of the
 ``recovery/boot`` sub-span PR 4's telemetry isolated.  The pool keeps a
-small set of booted machines per worker and serves recovery runs by a
+small set of booted machines per campaign and serves recovery runs by a
 cheap full-state reset + crash-image adoption
 (:meth:`~repro.pmem.machine.PMachine.reset_to_image`) instead of
 construction.

@@ -86,12 +86,6 @@ class TestDeterminism:
             run(model)
         )
 
-    def test_parallel_equals_serial(self):
-        model = FaultModelConfig(model="torn", seed=3)
-        assert self.fingerprintable(run(model)) == self.fingerprintable(
-            run(model, jobs=4)
-        )
-
     def test_checkpoint_journals_byte_identical(self, tmp_path):
         model = FaultModelConfig(model="torn", media_errors=True, seed=42)
         paths = [tmp_path / "a.ckpt.jsonl", tmp_path / "b.ckpt.jsonl"]

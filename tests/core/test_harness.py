@@ -1,9 +1,8 @@
 """Tests for the hardened campaign runner (repro.core.harness).
 
-Covers the four pillars of the harness: watchdogged oracle execution,
-containment with retry + quarantine, checkpoint/resume (including the
-interrupted-equals-uninterrupted property), and the supervised parallel
-executor (parallel ≡ serial, worker-death requeue, poison pills).
+Covers the three pillars of the harness: watchdogged oracle execution,
+containment with retry + quarantine, and checkpoint/resume (including the
+interrupted-equals-uninterrupted property).
 """
 
 import os
@@ -14,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.btree import BTree
-from repro.apps.hashmap_atomic import HashmapAtomic
 from repro.core import Mumak, MumakConfig
 from repro.core.fault_injection import FaultInjector
 from repro.core.harness import (
@@ -283,8 +281,6 @@ class TestContainment:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            HarnessConfig(jobs=0)
-        with pytest.raises(ValueError):
             HarnessConfig(max_retries=-1)
 
 
@@ -328,13 +324,13 @@ class TestCampaignLevel:
 
 
 def run_monkey_campaign(monkey_run, journal=None, resume_state=None,
-                        behaviour="report", jobs=1):
+                        behaviour="report"):
     initial, trace, _ = monkey_run
     return run_campaign(
         monkey_tasks(trace),
         PrefixImageSource(initial, trace),
         lambda: CrashMonkey(behaviour),
-        config=HarnessConfig(jobs=jobs),
+        config=HarnessConfig(),
         journal=journal,
         resume_state=resume_state,
     )
@@ -488,110 +484,6 @@ class TestPipelineResume:
             lambda: BTree(bugs=(), spt=True), workload
         )
         assert result.resources.checkpoint_bytes == os.path.getsize(path)
-
-
-# --------------------------------------------------------------------- #
-# pillar 4: supervised parallel execution
-# --------------------------------------------------------------------- #
-
-
-class TestParallelExecutor:
-    def test_parallel_equals_serial(self, monkey_run):
-        serial = run_monkey_campaign(monkey_run, jobs=1)
-        parallel = run_monkey_campaign(monkey_run, jobs=4)
-        assert records(parallel) == records(serial)
-
-    def test_worker_death_requeues_the_task(self, monkey_run):
-        initial, trace, _ = monkey_run
-        tasks = monkey_tasks(trace)
-        victim = tasks[len(tasks) // 2].index
-        deaths = []
-
-        def fault(worker_id, task):
-            if task.index == victim and len(deaths) < 2:
-                deaths.append(worker_id)
-                raise RuntimeError("simulated worker death")
-
-        campaign = run_campaign(
-            tasks,
-            PrefixImageSource(initial, trace),
-            lambda: CrashMonkey("report"),
-            config=HarnessConfig(jobs=3),
-            _worker_fault=fault,
-        )
-        serial = run_monkey_campaign(monkey_run, jobs=1)
-        assert campaign.worker_deaths == 2
-        assert records(campaign) == records(serial)
-
-    def test_poison_pill_is_quarantined(self, monkey_run):
-        initial, trace, _ = monkey_run
-        tasks = monkey_tasks(trace)
-        victim = tasks[0].index
-
-        def fault(_worker_id, task):
-            if task.index == victim:
-                raise RuntimeError("always fatal")
-
-        config = HarnessConfig(jobs=2, max_requeues=2)
-        campaign = run_campaign(
-            tasks,
-            PrefixImageSource(initial, trace),
-            lambda: CrashMonkey("report"),
-            config=config,
-            _worker_fault=fault,
-        )
-        assert campaign.worker_deaths == 3  # initial + max_requeues
-        pills = [
-            r for r in campaign.results if r.task.index == victim
-        ]
-        assert len(pills) == 1 and pills[0].quarantine is not None
-        assert "killed" in pills[0].quarantine.error
-        # Every other task still completed normally.
-        done = [r for r in campaign.results if r.quarantine is None]
-        assert len(done) == len(tasks) - 1
-
-    def test_parallel_journal_matches_serial_checkpoint(
-        self, monkey_run, tmp_path
-    ):
-        serial_path = str(tmp_path / "serial.jsonl")
-        parallel_path = str(tmp_path / "parallel.jsonl")
-        with CampaignJournal(serial_path, "fp", interval=1) as journal:
-            run_monkey_campaign(monkey_run, journal=journal, jobs=1)
-        with CampaignJournal(parallel_path, "fp", interval=1) as journal:
-            run_monkey_campaign(monkey_run, journal=journal, jobs=4)
-        # Journal record *sets* match (parallel completion order may
-        # differ line-by-line; resume keys by index, so sets suffice).
-        _, serial_records = read_journal(serial_path)
-        _, parallel_records = read_journal(parallel_path)
-        key = lambda r: r["i"]  # noqa: E731
-        assert sorted(parallel_records, key=key) == sorted(
-            serial_records, key=key
-        )
-
-
-@pytest.mark.slow
-class TestParallelDeterminism:
-    """Regression: `--jobs 4` output is byte-identical to `--jobs 1`."""
-
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: BTree(bugs={"btree.c1_count_outside_tx"}, spt=True),
-            lambda: HashmapAtomic(
-                bugs={"hashmap_atomic.c2_bucket_link_order"}
-            ),
-        ],
-        ids=["btree", "hashmap_atomic"],
-    )
-    def test_jobs4_report_identical_to_jobs1(self, factory):
-        workload = generate_workload(40, seed=11)
-        serial = Mumak(MumakConfig(jobs=1)).analyze(factory, workload)
-        parallel = Mumak(MumakConfig(jobs=4)).analyze(factory, workload)
-        assert parallel.report.render() == serial.report.render()
-        assert (
-            parallel.fault_injection.stats.injections
-            == serial.fault_injection.stats.injections
-        )
 
 
 # --------------------------------------------------------------------- #

@@ -123,12 +123,6 @@ class TestCampaignEquivalence:
         assert resumed.fault_injection.stats.resumed > 0
         assert fingerprintable(resumed) == fingerprintable(first)
 
-    def test_parallel_incremental_equals_serial(self):
-        model = FaultModelConfig(model="torn", seed=3)
-        serial = run(model)
-        parallel = run(model, jobs=4)
-        assert fingerprintable(serial) == fingerprintable(parallel)
-
     def test_replay_injection_engine_composes(self):
         """``--engine replay`` (per-injection re-execution) with the
         incremental image engine still matches the trace engine."""

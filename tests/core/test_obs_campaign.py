@@ -6,8 +6,6 @@ only*.  This module proves it on a real target:
 * findings, report render, campaign fingerprint, and checkpoint-journal
   bytes are identical with telemetry on and off (the differential
   battery from the acceptance criteria);
-* parallel ≡ serial still holds with telemetry enabled, and the merged
-  worker streams carry every worker's spans;
 * the registry's materialise/recovery split agrees with the
   hand-threaded campaign timers (same floats, by construction);
 * the JSONL event stream is schema-stable (every event carries ``ts``,
@@ -31,7 +29,6 @@ from repro.obs import (
     JSON_FILENAME,
     PROM_FILENAME,
 )
-from repro.pmem.faultmodel import FaultModelConfig
 from repro.workloads import generate_workload
 
 BUG = "hashmap_atomic.c6_torn_inplace_update"
@@ -91,35 +88,6 @@ class TestObservationOnly:
             paths.append(path)
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
             assert a.read() == b.read()
-
-
-@pytest.mark.slow
-class TestParallelWithObs:
-    def test_parallel_equals_serial_with_obs(self):
-        fault_model = FaultModelConfig(model="torn", samples=1)
-        serial = run(obs_enabled=True, jobs=1, fault_model=fault_model)
-        parallel = run(obs_enabled=True, jobs=3, fault_model=fault_model)
-        assert fingerprintable(serial) == fingerprintable(parallel)
-        assert serial.report.render() == parallel.report.render()
-
-    def test_worker_streams_are_merged(self):
-        parallel = run(obs_enabled=True, jobs=3)
-        events = parallel.telemetry.events
-        workers = {
-            e["worker"] for e in events
-            if e["span"] == "campaign/injection/recovery"
-        }
-        assert len(workers) > 1  # more than one worker actually recorded
-        # seq is a dense global stamp over the merged stream.
-        assert [e["seq"] for e in events] == list(range(len(events)))
-
-    def test_parallel_registry_totals_match_serial(self):
-        serial = run(obs_enabled=True, jobs=1)
-        parallel = run(obs_enabled=True, jobs=3)
-        for name in ("campaign_injections", "recovery_outcomes"):
-            assert serial.telemetry.registry.count(name) == pytest.approx(
-                parallel.telemetry.registry.count(name)
-            )
 
 
 class TestRegistryAgreement:

@@ -60,6 +60,13 @@ class TestPipeline:
             assert finding.site and "btree.py" in finding.site
 
     @pytest.mark.slow
+    def test_jobs_other_than_one_is_refused(self):
+        """In-process injection is serial; a parallel campaign runs in
+        shard processes, and the refusal says so."""
+        assert MumakConfig(jobs=1).jobs == 1
+        with pytest.raises(ValueError, match="shards"):
+            MumakConfig(jobs=2)
+
     def test_resources_tracked(self):
         result = Mumak().analyze(lambda: BTree(bugs=(), spt=True), WORKLOAD)
         assert result.resources.total_seconds > 0

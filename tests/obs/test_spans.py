@@ -1,4 +1,4 @@
-"""Span/event-stream unit tests: hierarchy, schema, worker merge."""
+"""Span/event-stream unit tests: hierarchy, schema, finalize order."""
 
 import json
 
@@ -106,36 +106,6 @@ class TestEventSchema:
 
 
 class TestWorkers:
-    def test_children_merge_deterministically(self):
-        tel, clock = _telemetry()
-        w1 = tel.child(1)
-        w2 = tel.child(2)
-        # Same timestamp on both workers: worker id breaks the tie.
-        w2.event("campaign/injection/done", task=7)
-        w1.event("campaign/injection/done", task=3)
-        clock.tick(1.0)
-        w1.event("campaign/injection/done", task=4)
-        tel.merge_child(w1)
-        tel.merge_child(w2)
-        events = tel.finalize()
-        assert [(e["worker"], e["attrs"]["task"]) for e in events] == [
-            (1, 3),
-            (2, 7),
-            (1, 4),
-        ]
-        assert [e["seq"] for e in events] == [0, 1, 2]
-
-    def test_child_registries_fold_into_parent(self):
-        tel, _ = _telemetry()
-        w1 = tel.child(1)
-        w2 = tel.child(2)
-        w1.counter("injections", 3)
-        w2.counter("injections", 4)
-        tel.counter("injections", 1)
-        tel.merge_child(w1)
-        tel.merge_child(w2)
-        assert tel.registry.total("injections") == 8
-
     def test_finalize_idempotent(self):
         tel, _ = _telemetry()
         tel.event("campaign/mark")
@@ -152,7 +122,5 @@ class TestNullTelemetry:
         NULL_TELEMETRY.counter("a")
         NULL_TELEMETRY.gauge("a", 1)
         NULL_TELEMETRY.observe("a", 1)
-        assert NULL_TELEMETRY.child(3) is NULL_TELEMETRY
-        NULL_TELEMETRY.merge_child(NULL_TELEMETRY)
         assert NULL_TELEMETRY.finalize() == []
         assert not NULL_TELEMETRY.enabled

@@ -1,12 +1,7 @@
-"""Campaign-order units: the digest extent and ordered journalling."""
+"""Units of the digest extent, the persisted-write bound of a campaign."""
 
 import dataclasses
 
-from repro.core.harness import (
-    InjectionResult,
-    InjectionTask,
-    OrderedJournalWriter,
-)
 from repro.pmem.machine import VOLATILE_BASE
 from repro.recovery.digest import persisted_write_extent
 
@@ -17,10 +12,6 @@ class FakeEvent:
     is_write: bool = True
     data: object = b"\x01"
     address: object = 0
-
-
-def task(index, seq):
-    return InjectionTask(index=index, stack=(f"fn{index}",), seq=seq)
 
 
 # --------------------------------------------------------------------- #
@@ -46,53 +37,3 @@ def test_write_extent_none_when_nothing_persists():
     assert persisted_write_extent(
         [FakeEvent(seq=1, is_write=False), FakeEvent(seq=2, data=None)]
     ) is None
-
-
-# --------------------------------------------------------------------- #
-# OrderedJournalWriter
-# --------------------------------------------------------------------- #
-
-
-def _result(index):
-    return InjectionResult(task=task(index, index))
-
-
-def test_out_of_order_completions_drain_in_index_order():
-    recorded = []
-    writer = OrderedJournalWriter(
-        lambda r: recorded.append(r.task.index), [0, 1, 2, 3]
-    )
-    writer.offer(_result(2))
-    writer.offer(_result(0))
-    assert recorded == [0]  # 1 still missing: 2 stays buffered
-    assert writer.buffered == 1
-    writer.offer(_result(1))
-    assert recorded == [0, 1, 2]
-    writer.offer(_result(3))
-    assert recorded == [0, 1, 2, 3]
-    assert writer.buffered == 0
-
-
-def test_sparse_and_unsorted_expected_indices():
-    recorded = []
-    writer = OrderedJournalWriter(
-        lambda r: recorded.append(r.task.index), [7, 2, 10]
-    )
-    writer.offer(_result(10))
-    writer.offer(_result(7))
-    assert recorded == []
-    writer.offer(_result(2))
-    assert recorded == [2, 7, 10]
-
-
-def test_flush_remaining_drains_stragglers_in_order():
-    """A drained campaign leaves gaps: whatever is buffered still lands
-    index-ordered."""
-    recorded = []
-    writer = OrderedJournalWriter(
-        lambda r: recorded.append(r.task.index), [0, 1, 2]
-    )
-    writer.offer(_result(2))
-    writer.offer(_result(1))
-    writer.flush_remaining()
-    assert recorded == [1, 2]

@@ -1,26 +1,19 @@
-"""Determinism, resume, and journal-ordering contracts under ``--sched``.
+"""Determinism and resume contracts under ``--sched``.
 
 The schedule axis must not cost any of the campaign fabric's existing
 guarantees:
 
-* serial, ``--jobs N`` and ``--shards N`` runs of the same spec write
-  byte-identical checkpoint journals and produce identical findings;
+* serial and ``--shards N`` runs of the same spec write byte-identical
+  checkpoint journals and produce identical findings;
 * the campaign fingerprint binds the schedule spec, so a checkpoint
   written under one schedule seed is *refused* (``CheckpointError``) —
-  never silently misread — when resumed under another;
-* :class:`OrderedJournalWriter` discriminates on the full
-  ``(sched, index)`` key: per-sample indices repeat across samples, and
-  keying on the bare index once made out-of-order completions under
-  ``--jobs`` overwrite each other's buffered results.
+  never silently misread — when resumed under another.
 """
-
-from types import SimpleNamespace
 
 import pytest
 
 from repro.apps import THREADED_APPLICATIONS
 from repro.core import Mumak, MumakConfig
-from repro.core.harness import OrderedJournalWriter, task_order_key
 from repro.errors import CheckpointError
 from repro.sched.config import SchedConfig
 from repro.workloads import generate_workload
@@ -58,18 +51,15 @@ class TestExecutionModeEquivalence:
         results = {}
         for tag, extra in (
             ("serial", {}),
-            ("jobs", {"jobs": 2}),
             ("shards", {"shards": 2}),
         ):
             path = tmp_path / f"{tag}.ckpt.jsonl"
             results[tag] = run(checkpoint=str(path), **extra)
             journals[tag] = path.read_bytes()
         assert len(journals["serial"]) > 0
-        assert journals["serial"] == journals["jobs"]
         assert journals["serial"] == journals["shards"]
         assert (
             fingerprintable(results["serial"])
-            == fingerprintable(results["jobs"])
             == fingerprintable(results["shards"])
         )
         shapes = {
@@ -111,46 +101,3 @@ class TestScheduleBoundResume:
         resumed = run(resume_from=path)
         assert resumed.fault_injection.stats.resumed > 0
         assert fingerprintable(resumed) == fingerprintable(first)
-
-
-def _result(sched, index):
-    return SimpleNamespace(task=SimpleNamespace(sched=sched, index=index))
-
-
-class TestOrderedJournalWriter:
-    def test_same_index_across_samples_does_not_collide(self):
-        """Regression: samples reuse per-sample indices; buffering under
-        the bare index overwrote one sample's result with the other's."""
-        recorded = []
-        writer = OrderedJournalWriter(
-            recorded.append, [(0, 0), (0, 1), (1, 0), (1, 1)]
-        )
-        writer.offer(_result(1, 0))
-        writer.offer(_result(1, 1))
-        assert recorded == []
-        assert writer.buffered == 2  # both kept, neither clobbered
-        writer.offer(_result(0, 0))
-        writer.offer(_result(0, 1))
-        assert [task_order_key(r.task) for r in recorded] == [
-            (0, 0), (0, 1), (1, 0), (1, 1),
-        ]
-        assert writer.buffered == 0
-
-    def test_bare_index_keys_stay_compatible(self):
-        """Legacy single-threaded callers hand plain indices; tasks with
-        no sched attribute order exactly as before the schedule axis."""
-        recorded = []
-        writer = OrderedJournalWriter(recorded.append, [0, 1, 2])
-        writer.offer(SimpleNamespace(task=SimpleNamespace(index=2)))
-        writer.offer(SimpleNamespace(task=SimpleNamespace(index=0)))
-        writer.offer(SimpleNamespace(task=SimpleNamespace(index=1)))
-        assert [r.task.index for r in recorded] == [0, 1, 2]
-
-    def test_flush_remaining_drains_in_campaign_order(self):
-        recorded = []
-        writer = OrderedJournalWriter(
-            recorded.append, [(0, 0), (1, 0)]
-        )
-        writer.offer(_result(1, 0))
-        writer.flush_remaining()
-        assert [task_order_key(r.task) for r in recorded] == [(1, 0)]

@@ -70,16 +70,6 @@ def test_analyze_caps_injections(capsys):
     assert "injections: 3" in out
 
 
-@pytest.mark.slow
-def test_analyze_parallel_jobs(capsys):
-    code = main([
-        "analyze", "btree", "--ops", "40", "--spt", "--bugs", "none",
-        "--jobs", "4", "--timeout", "30", "--step-budget", "5000000",
-    ])
-    assert code == 0
-    assert "0 unique bug(s)" in capsys.readouterr().out
-
-
 def test_resume_requires_checkpoint(capsys):
     code = main(["analyze", "btree", "--resume"])
     err = capsys.readouterr().err
@@ -94,8 +84,12 @@ def _foreign_scope_cache(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [
-    lambda tmp: ["--jobs", "0"],
-    lambda tmp: ["--jobs", "-1"],
+    lambda tmp: ["--timeout", "0"],
+    lambda tmp: ["--timeout", "-1"],
+    lambda tmp: ["--step-budget", "0"],
+    lambda tmp: ["--ops", "-5"],
+    lambda tmp: ["--max-injections", "-1"],
+    lambda tmp: ["--bugs", "bogus"],
     lambda tmp: ["--retries", "-1"],
     lambda tmp: ["--adversarial-samples", "0"],
     lambda tmp: ["--fleet", str(tmp / "fleet"), "--fleet-ttl", "0"],
@@ -103,7 +97,8 @@ def _foreign_scope_cache(tmp_path):
     lambda tmp: ["--recovery-cache", str(tmp / "no-dir" / "v.vcache")],
     _foreign_scope_cache,
 ], ids=[
-    "jobs-zero", "jobs-negative", "retries-negative",
+    "timeout-zero", "timeout-negative", "step-budget-zero", "ops-negative",
+    "max-injections-negative", "bugs-unknown", "retries-negative",
     "adversarial-samples-zero", "fleet-ttl-zero", "resume-missing",
     "cache-dir-missing", "cache-foreign-scope",
 ])
