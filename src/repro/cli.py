@@ -316,6 +316,11 @@ def _cmd_analyze(args) -> int:
         ("--retries", args.retries, 0),
         ("--shards", args.shards, 1),
         ("--adversarial-samples", args.adversarial_samples, 1),
+        ("--checkpoint-interval", args.checkpoint_interval, 1),
+        ("--machine-pool", args.machine_pool, 0),
+        ("--obs-heartbeat", args.obs_heartbeat, 0),
+        ("--stall-window", args.stall_window, 0),
+        ("--fleet-patience", args.fleet_patience, 0),
     ):
         if value is not None and value < low:
             emit(f"{flag} must be >= {low}", stream=sys.stderr)

@@ -7,7 +7,8 @@ Three steps, each requiring less instrumentation than the previous one:
    preceded by at least one PM store, by default) and building the failure
    point tree.
 2. **Injection** — for every unique failure point, materialise the
-   deterministic program-order-prefix crash state.  Two engines exist:
+   deterministic program-order-prefix crash state.  Two engines exist,
+   and both are image sources of the one plan → execute → fold path:
 
    * ``trace`` (default): derive every crash image from the single
      recorded trace.  Execution is deterministic, so the image obtained by
@@ -15,11 +16,12 @@ Three steps, each requiring less instrumentation than the previous one:
      the recorded trace — this engine simply skips the redundant
      re-executions.
    * ``replay``: faithfully re-execute the workload once per failure
-     point, crash gracefully at the first unvisited one (as the Pin
-     implementation does), and repeat until every leaf is visited.
+     point and crash it gracefully at the first candidate with that
+     failure point's call stack (as the Pin implementation does); the
+     point's adversarial variants reuse the image.
 
-   The equivalence of the two engines is property-tested; the ablation
-   benchmark quantifies the replay engine's cost.
+   The two engines write byte-identical journal records (tested); the
+   ablation benchmark quantifies the replay engine's cost.
 3. **Recovery** — run the application's recovery procedure, uninstrumented,
    on each crash image; a failure is a reported bug carrying the complete
    code path of the failure point and the recovery error (plus the
@@ -27,12 +29,11 @@ Three steps, each requiring less instrumentation than the previous one:
 
 Both engines route every recovery through the hardened campaign runner
 (:mod:`repro.core.harness`): watchdogged oracle execution, per-injection
-containment with retry + quarantine, and optional checkpoint journaling.
+containment with retry + quarantine, and checkpoint journaling + resume.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 from dataclasses import dataclass, field
@@ -47,7 +48,6 @@ from repro.core.harness import (
     InjectionResult,
     InjectionTask,
     QuarantineRecord,
-    execute_injection,
     run_campaign,
     same_injection,
     split_resumed,
@@ -64,11 +64,7 @@ from repro.instrument.tracer import (
     MinimalTracer,
 )
 from repro.pmem.events import MemoryEvent
-from repro.pmem.faultmodel import (
-    VARIANT_PREFIX,
-    AdversarialImageFactory,
-    FaultModelConfig,
-)
+from repro.pmem.faultmodel import VARIANT_PREFIX, FaultModelConfig
 from repro.pmem.incremental import (
     ENGINE_IMAGE_INCREMENTAL,
     ImageEngineStats,
@@ -81,6 +77,10 @@ from repro.recovery import (
     persisted_write_extent,
 )
 from repro.recovery.engine import CACHE_SUFFIX
+
+# ``run_campaign`` and ``run_instrumented`` are called through this
+# module's globals: the benchmark's layer tracer (``perfbench/tracer.py``)
+# patches them here by name.
 
 ENGINE_TRACE = "trace"
 ENGINE_REPLAY = "replay"
@@ -423,7 +423,9 @@ class FaultInjector:
             **fabric,
         )
 
-    def plan(self, runs) -> Tuple[CampaignImageSource, List[InjectionTask]]:
+    def plan(
+        self, runs, reexecute=None
+    ) -> Tuple[CampaignImageSource, List[InjectionTask]]:
         """The campaign's image source and its deterministic task plan.
 
         Runs contribute in order with contiguous task indices, so
@@ -431,12 +433,16 @@ class FaultInjector:
         each task also carries its run's schedule id.  Within a run:
         one prefix task per failure point (first, so finding dedup
         attributes dual-reachable bugs to the graceful crash),
-        adversarial variants riding after.  Planning shares each run
-        source's factory, so the adversarial families consume the same
-        memoized history pass the cursors use.
+        adversarial variants riding after.  The planner is the run's
+        factory in the source, so materialising the variants consumes
+        the same memoized history pass.  ``reexecute`` is the replay
+        engine's prefix builder (see :class:`CampaignImageSource`).
         """
         source = CampaignImageSource(
-            runs, fault_model=self.fault_model, image_engine=self.image_engine
+            runs,
+            fault_model=self.fault_model,
+            image_engine=self.image_engine,
+            reexecute=reexecute,
         )
         adversarial = self.fault_model.is_adversarial
         tasks: List[InjectionTask] = []
@@ -450,9 +456,7 @@ class FaultInjector:
             "campaign/injection/planner", engine=self.image_engine
         ):
             for run in runs:
-                planner = (
-                    source.sources[run.sched].factory if adversarial else None
-                )
+                planner = source.factory(run.sched) if adversarial else None
                 for stack, node in run.tree.failure_points():
                     if not room():
                         break
@@ -551,11 +555,10 @@ class FaultInjector:
         ``workload``/``seed`` serve only the replay engine, which
         re-executes the target per failure point."""
         stats = self._stats(runs)
+        reexecute = None
         if self.engine == ENGINE_REPLAY:
-            return self._inject_by_replay(
-                app_factory, workload, seed, runs, stats
-            )
-        source, tasks = self.plan(runs)
+            reexecute = _Reexecution(self, app_factory, workload, seed)
+        source, tasks = self.plan(runs, reexecute=reexecute)
         engine = self.recovery_engine(runs)
         campaign = run_campaign(
             tasks,
@@ -570,7 +573,55 @@ class FaultInjector:
             stop=self.stop,
         )
         self._close_recovery(engine, stats)
+        if reexecute is not None:
+            stats.executions += reexecute.executions
         return self._collect(campaign, stats, runs, source)
+
+    def run_slice(
+        self,
+        runs: Sequence[DetectionRun],
+        source: CampaignImageSource,
+        tasks: Sequence[InjectionTask],
+        app_factory,
+        journal_path: str,
+        fingerprint: str,
+        seed: int = 0,
+        donors=(),
+        heartbeat=None,
+        stop: Optional[threading.Event] = None,
+        telemetry=NULL_TELEMETRY,
+    ) -> Tuple[CampaignResult, Optional[RecoveryEngine]]:
+        """One shard or fleet slice of a campaign, run in this process.
+
+        The ordinary executor over ``tasks``, journaled record by record
+        to ``journal_path`` (slice journals are the fabric's ground truth
+        for requeue and merge), with a slice verdict cache that first
+        adopts every verdict in ``donors`` — zero re-verification for
+        work an earlier leg already did.  Returns the slice's campaign
+        result and its closed recovery engine (None when off).
+        """
+        journal = CampaignJournal(
+            journal_path, fingerprint, seed=seed, interval=1
+        )
+        engine = None
+        try:
+            engine = self.recovery_engine(runs, journal_path, donors)
+            campaign = run_campaign(
+                tasks,
+                source,
+                app_factory,
+                config=self.harness,
+                journal=journal,
+                telemetry=telemetry,
+                heartbeat=heartbeat,
+                recovery=engine,
+                stop=stop,
+            )
+        finally:
+            if engine is not None:
+                engine.close()
+            journal.close()
+        return campaign, engine
 
     def inject_sharded(
         self,
@@ -594,10 +645,10 @@ class FaultInjector:
 
         ``resume_state``/``base_records`` carry an earlier run's
         completed injections (results for filtering, raw journal records
-        for the merge).  Per-injection wall-clock split is not tracked
-        (timings are process-local and deliberately unserialised); all
-        other accounting — including per-shard image and recovery-engine
-        stats — is relayed back best-effort.
+        for the merge).  Each shard relays its image and recovery-engine
+        stats and its materialise/recovery wall-clock sums back
+        best-effort (a SIGKILLed shard's are lost); per-injection timings
+        stay process-local and are never journaled.
         """
         # Lazy: repro.fabric depends on this package's harness module.
         from repro.fabric import ShardSupervisor
@@ -607,39 +658,22 @@ class FaultInjector:
         todo, restored, base_records = _distributable(
             tasks, resume_state, base_records
         )
-        harness = self.harness
         donors = self._campaign_cache()
 
         def worker_body(shard_id, shard_tasks, journal_path, beacon, stop):
-            """Runs inside the forked shard: the ordinary in-process
-            executor over this shard's slice, journaled per record."""
-            journal = CampaignJournal(
-                journal_path, fingerprint, seed=seed, interval=1
-            )
+            """Runs inside the forked shard: one slice, journaled per
+            record; every verdict a drained or crashed leg persisted
+            replays from memory."""
             # The source's counters are cumulative and the fork copied
             # the parent's planning-time numbers; relay only what THIS
             # shard adds, or the parent would count planning per shard.
-            image_baseline = dataclasses.asdict(source.collect_stats())
-            # Zero re-verification on resume: every verdict the
-            # drained/crashed campaign persisted replays from memory.
-            engine = self.recovery_engine(runs, journal_path, donors)
-            engine_stats = None
-            try:
-                run_campaign(
-                    shard_tasks,
-                    source,
-                    app_factory,
-                    config=harness,
-                    journal=journal,
-                    heartbeat=beacon,
-                    recovery=engine,
-                    stop=stop,
-                )
-            finally:
-                if engine is not None:
-                    engine_stats = engine.close()
-                journal.close()
-            image_total = dataclasses.asdict(source.collect_stats())
+            image_baseline = source.stats.as_dict()
+            campaign, engine = self.run_slice(
+                runs, source, shard_tasks, app_factory, journal_path,
+                fingerprint, seed, donors=donors, heartbeat=beacon,
+                stop=stop,
+            )
+            image_total = source.stats.as_dict()
             beacon.stats(
                 {
                     "image": {
@@ -647,10 +681,10 @@ class FaultInjector:
                         for key in image_total
                     },
                     "recovery": (
-                        engine_stats.as_dict()
-                        if engine_stats is not None
-                        else None
+                        engine.stats.as_dict() if engine is not None else None
                     ),
+                    "materialise_seconds": campaign.materialise_seconds,
+                    "recovery_seconds": campaign.recovery_seconds,
                 }
             )
 
@@ -664,6 +698,10 @@ class FaultInjector:
                 stats.absorb_recovery_stats(engine_stats)
                 if self.telemetry.enabled:
                     engine_stats.publish(self.telemetry.registry)
+            stats.materialise_seconds += payload.get(
+                "materialise_seconds", 0.0
+            )
+            stats.recovery_seconds += payload.get("recovery_seconds", 0.0)
 
         supervisor = ShardSupervisor(
             todo,
@@ -725,37 +763,23 @@ class FaultInjector:
         todo, restored, base_records = _distributable(
             tasks, resume_state, base_records
         )
-        harness = self.harness
         donors = self._campaign_cache()
 
         def local_runner(slice_id, slice_tasks, journal_path, stop):
             """The degradation path: one fleet slice, in this process,
             journaled exactly like an in-host shard so the ordinary
-            merge machinery picks it up."""
-            journal = CampaignJournal(
-                journal_path, fingerprint, seed=seed, interval=1
+            merge machinery picks it up.  Verdicts that made it back
+            over the transport are just as good locally."""
+            campaign, engine = self.run_slice(
+                runs, source, slice_tasks, app_factory, journal_path,
+                fingerprint, seed,
+                donors=donors + supervisor.vcache_paths, stop=stop,
+                telemetry=self.telemetry,
             )
-            # Verdicts that made it back over the transport are just as
-            # good locally — zero re-verification for work a dead fleet
-            # already did.
-            engine = self.recovery_engine(
-                runs, journal_path, donors + supervisor.vcache_paths
-            )
-            try:
-                run_campaign(
-                    slice_tasks,
-                    source,
-                    app_factory,
-                    config=harness,
-                    journal=journal,
-                    telemetry=self.telemetry,
-                    recovery=engine,
-                    stop=stop,
-                )
-            finally:
-                if engine is not None:
-                    stats.absorb_recovery_stats(engine.close())
-                journal.close()
+            if engine is not None:
+                stats.absorb_recovery_stats(engine.stats)
+            stats.materialise_seconds += campaign.materialise_seconds
+            stats.recovery_seconds += campaign.recovery_seconds
 
         supervisor = FleetSupervisor(
             todo,
@@ -786,99 +810,6 @@ class FaultInjector:
             fleet_result, stats, runs, source, tasks, checkpoint_path,
             spools=fleet_result.vcache_paths,
         )
-
-    # ------------------------------------------------------------------ #
-    # step 2+3, replay engine
-    # ------------------------------------------------------------------ #
-
-    def _inject_by_replay(
-        self, app_factory, workload, seed, runs, stats
-    ) -> FaultInjectionResult:
-        # The replay engine re-executes the target per failure point and
-        # shares visited-marking state through the tree, so it runs
-        # serially; each recovery still goes through watchdog + contain-
-        # ment, so a pathological target cannot stall the campaign.
-        adversarial = self.fault_model.is_adversarial
-        tree = runs[0].tree
-        campaign = CampaignResult()
-        index = 0
-        # No trace to bound digests by: the verdict cache hashes whole
-        # images (the machine pool applies as usual).
-        recovery_engine = self.recovery_engine(())
-
-        def room() -> bool:
-            return self.max_injections is None or index < self.max_injections
-
-        while tree.unvisited_count > 0:
-            if not room():
-                break
-            if self.stop is not None and self.stop.is_set():
-                campaign.drained = True
-                break
-            injector = _ReplayInjector(
-                tree, self.granularity, self.require_store_since_last
-            )
-            # The adversarial families need the event trace of *this*
-            # replay to analyse in-flight stores and dirty lines; the
-            # prefix-only replay engine skips that cost.
-            tracer = MinimalTracer() if adversarial else None
-            hooks: List[Any] = [injector]
-            if tracer is not None:
-                hooks.insert(0, tracer)
-            artifacts = run_instrumented(
-                app_factory, workload, hooks=hooks, seed=seed
-            )
-            stats.executions += 1
-            if artifacts.injected is None:
-                # A full pass with no unvisited failure point reached:
-                # whatever remains unvisited is unreachable on this
-                # workload (should not happen with deterministic targets).
-                break
-            fail_seq = artifacts.injected.sequence
-            task = InjectionTask(
-                index=index, stack=injector.stack, seq=fail_seq
-            )
-            index += 1
-            image = injector.image
-            result = execute_injection(
-                task, lambda _task: image, app_factory, self.harness,
-                telemetry=self.telemetry, recovery=recovery_engine,
-            )
-            campaign.retries += result.attempts - 1
-            campaign.results.append(result)
-            if tracer is not None:
-                replay_image_stats = ImageEngineStats()
-                factory = AdversarialImageFactory(
-                    self.fault_model, artifacts.initial_image, tracer.events,
-                    image_engine=self.image_engine,
-                    stats=replay_image_stats,
-                )
-                for variant in factory.plan(fail_seq):
-                    if not room():
-                        break
-                    variant_task = InjectionTask(
-                        index=index,
-                        stack=injector.stack,
-                        seq=fail_seq,
-                        variant=variant,
-                    )
-                    index += 1
-                    crash = factory.materialise(
-                        fail_seq, variant, prefix_image=image
-                    )
-                    result = execute_injection(
-                        variant_task,
-                        lambda _task, _crash=crash: _crash,
-                        app_factory,
-                        self.harness,
-                        telemetry=self.telemetry,
-                        recovery=recovery_engine,
-                    )
-                    campaign.retries += result.attempts - 1
-                    campaign.results.append(result)
-                stats.absorb_image_stats(replay_image_stats)
-        self._close_recovery(recovery_engine, stats)
-        return self._collect(campaign, stats, runs)
 
     # ------------------------------------------------------------------ #
     # the fold
@@ -938,18 +869,16 @@ class FaultInjector:
         campaign: CampaignResult,
         stats: FaultInjectionStats,
         runs: Sequence[DetectionRun],
-        source: Optional[CampaignImageSource] = None,
+        source: CampaignImageSource,
     ) -> FaultInjectionResult:
-        if source is not None:
-            # Image accounting done in this process: planning, serial
-            # execution, fleet local fallback (shards relay theirs
-            # through the stats beacon).
-            collected = source.collect_stats()
-            stats.absorb_image_stats(collected)
-            if self.telemetry.enabled:
-                collected.publish(
-                    self.telemetry.registry, engine=self.image_engine
-                )
+        # Image accounting done in this process: planning, serial
+        # execution, fleet local fallback (shards relay theirs through
+        # the stats beacon).
+        stats.absorb_image_stats(source.stats)
+        if self.telemetry.enabled:
+            source.stats.publish(
+                self.telemetry.registry, engine=self.image_engine
+            )
         findings: List[Finding] = []
         outcomes: List[Tuple[Tuple[str, ...], RecoveryOutcome]] = []
         for result in campaign.results:
@@ -1025,26 +954,61 @@ class FaultInjector:
 
 
 class _ReplayInjector(FailurePointObserver):
-    """Hook that crashes the target at the first unvisited failure point."""
+    """Hook that crashes the target gracefully at the first failure-point
+    candidate whose call stack is ``stack``."""
 
-    def __init__(self, tree: FailurePointTree, granularity, require_store):
+    def __init__(self, stack, granularity, require_store):
         super().__init__(
             self._on_candidate,
             granularity=granularity,
             require_store_since_last=require_store,
         )
-        self._tree = tree
+        self._stack = stack
         self.image: Optional[bytes] = None
-        self.stack: Tuple[str, ...] = ()
 
     def _on_candidate(self, stack, event: MemoryEvent) -> None:
-        if self._tree.visit(stack):
+        if stack == self._stack:
             # Capture the graceful-crash state *now*, before Python unwind
             # handlers (transaction aborts etc.) can run.
-            self.stack = stack
             self.image = self._machine.graceful_crash_image()
             raise CrashInjected(event.seq)
 
     def __call__(self, event: MemoryEvent, machine: PMachine) -> None:
         self._machine = machine
         super().__call__(event, machine)
+
+
+class _Reexecution:
+    """The replay engine's prefix builder.
+
+    Re-executes the target once per failure point and crashes it at the
+    point's first candidate; the point's adversarial variants follow it
+    in the plan and reuse the image.  Execution is deterministic, so the
+    image equals the trace engine's, and the campaign bills the
+    re-execution to ``materialise``.
+    """
+
+    def __init__(self, injector: FaultInjector, app_factory, workload, seed):
+        self._injector = injector
+        self._execution = (app_factory, workload, seed)
+        #: Target executions this builder made.
+        self.executions = 0
+        self._last: Tuple[Optional[Tuple[str, ...]], bytes] = (None, b"")
+
+    def __call__(self, task: InjectionTask) -> bytes:
+        if self._last[0] != task.stack:
+            hook = _ReplayInjector(
+                task.stack,
+                self._injector.granularity,
+                self._injector.require_store_since_last,
+            )
+            app_factory, workload, seed = self._execution
+            run_instrumented(app_factory, workload, hooks=[hook], seed=seed)
+            self.executions += 1
+            if hook.image is None:
+                raise RuntimeError(
+                    "re-execution never reached the failure point at seq "
+                    f"{task.seq}"
+                )
+            self._last = (task.stack, hook.image)
+        return self._last[1]

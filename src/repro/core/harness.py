@@ -427,7 +427,7 @@ def _sched_of(task: InjectionTask) -> Optional[int]:
 def _unpack_image(materialised) -> Tuple[Any, Tuple[int, ...]]:
     """Normalise an image source's product to ``(image, poisoned_lines)``.
 
-    Image sources may return raw bytes (the classic prefix source), a
+    Image sources may return raw bytes (a prefix image), a
     :class:`~repro.pmem.faultmodel.CrashImage` carrying media-error
     state, or a pooled :class:`~repro.pmem.incremental.MaterialisedImage`
     — the latter is passed through *unconverted* so the recovered machine
@@ -482,8 +482,8 @@ def execute_injection(
     caching = recovery is not None and recovery.caching
     machine_pool = recovery.pool if recovery is not None else None
     digest_value = None
-    # Pooled-image protocol: a cursor exposing ``release`` hands out
-    # reusable MaterialisedImage buffers; hand them back when the
+    # Pooled-image protocol: an image source exposing ``release`` hands
+    # out reusable MaterialisedImage buffers; hand them back when the
     # recovery attempt is over (an abandoned watchdog thread may still
     # be writing one — it is marked abandoned and leaked instead).
     release = getattr(image_for, "release", None)
@@ -661,204 +661,36 @@ def execute_injection(
 
 
 # --------------------------------------------------------------------- #
-# incremental crash-image materialisation
+# crash-image materialisation
 # --------------------------------------------------------------------- #
-
-
-class PrefixImageSource:
-    """Builder of program-order-prefix crash images.
-
-    The campaign obtains its cursor via :meth:`cursor`.  With
-    ``image_engine="incremental"`` (the production default upstream) the
-    cursor is an :class:`~repro.pmem.incremental.IncrementalImageEngine`
-    handing out pooled copy-on-write buffers: moving between consecutive
-    failure points costs O(changed bytes), and the recovery oracle
-    adopts the buffer without copying.  With ``"replay"`` (the
-    differential-testing reference) the cursor re-applies trace writes
-    onto a running image and copies it per failure point.
-    """
-
-    def __init__(
-        self,
-        initial_image: bytes,
-        trace: Sequence,
-        image_engine: str = ENGINE_IMAGE_REPLAY,
-    ):
-        self._initial = initial_image
-        self._trace = trace
-        self.image_engine = validate_image_engine(image_engine)
-        #: Accounting of every cursor this source handed out.
-        self.stats = ImageEngineStats()
-
-    def cursor(self):
-        if self.image_engine == ENGINE_IMAGE_INCREMENTAL:
-            return _IncrementalCursor(self._initial, self._trace, self.stats)
-        return _PrefixCursor(self._initial, self._trace, self.stats)
-
-
-class _PrefixCursor:
-    """Replay-reference cursor: running image + full copy per point."""
-
-    def __init__(
-        self,
-        initial_image: bytes,
-        trace: Sequence,
-        stats: Optional[ImageEngineStats] = None,
-    ):
-        self._initial = initial_image
-        self._trace = trace
-        self._running = bytearray(initial_image)
-        self._pos = 0
-        self._last_seq = -1
-        self._stats = stats if stats is not None else ImageEngineStats()
-
-    def image_at(self, seq: int) -> bytes:
-        from repro.pmem.crashsim import apply_write
-
-        if seq < self._last_seq:
-            self._running = bytearray(self._initial)
-            self._pos = 0
-            self._stats.full_rebuilds += 1
-            self._stats.bytes_copied += len(self._initial)
-        self._last_seq = seq
-        from repro.pmem.machine import VOLATILE_BASE
-
-        trace = self._trace
-        applied = 0
-        while self._pos < len(trace) and trace[self._pos].seq < seq:
-            event = trace[self._pos]
-            if event.is_write:
-                apply_write(self._running, event)
-                if (
-                    event.data is not None
-                    and event.address is not None
-                    and event.address < VOLATILE_BASE
-                ):
-                    applied += len(event.data)
-            self._pos += 1
-        self._stats.delta_bytes_applied += applied
-        self._stats.images += 1
-        self._stats.bytes_copied += len(self._running)
-        return bytes(self._running)
-
-    def __call__(self, task: InjectionTask) -> bytes:
-        return self.image_at(task.seq)
-
-
-class _IncrementalCursor:
-    """Production cursor: pooled COW buffers from the incremental engine."""
-
-    def __init__(
-        self,
-        initial_image: bytes,
-        trace: Sequence,
-        stats: Optional[ImageEngineStats] = None,
-    ):
-        self._engine = IncrementalImageEngine(
-            initial_image, trace, stats=stats
-        )
-
-    def __call__(self, task: InjectionTask) -> MaterialisedImage:
-        return self._engine.checkout(task.seq)
-
-    def release(self, image: MaterialisedImage) -> None:
-        self._engine.release(image)
-
-
-class AdversarialImageSource:
-    """Image source that understands fault-model variants.
-
-    The graceful ``"prefix"`` variant reuses the incremental prefix
-    cursor; adversarial variants are materialised on demand by an
-    :class:`~repro.pmem.faultmodel.AdversarialImageFactory` seeded from
-    the campaign's fault-model configuration — deterministically, so a
-    sharded, resumed, or repeated campaign sees identical images.
-    """
-
-    def __init__(
-        self,
-        initial_image: bytes,
-        trace: Sequence,
-        fault_model: FaultModelConfig,
-        image_engine: str = ENGINE_IMAGE_REPLAY,
-    ):
-        self._initial = initial_image
-        self._trace = trace
-        self.fault_model = fault_model
-        self.image_engine = validate_image_engine(image_engine)
-        #: Accounting of the planner and every cursor.
-        self.stats = ImageEngineStats()
-        #: The campaign planner's factory (planning runs before any
-        #: cursor materialises an image).
-        self.factory = AdversarialImageFactory(
-            fault_model, initial_image, trace,
-            image_engine=self.image_engine, stats=self.stats,
-        )
-
-    def cursor(self) -> "_AdversarialCursor":
-        return _AdversarialCursor(self)
-
-
-class _AdversarialCursor:
-    def __init__(self, source: AdversarialImageSource):
-        stats = source.stats
-        self._incremental = (
-            source.image_engine == ENGINE_IMAGE_INCREMENTAL
-        )
-        if self._incremental:
-            self._engine = IncrementalImageEngine(
-                source._initial, source._trace, stats=stats
-            )
-        else:
-            self._engine = None
-            self._prefix = _PrefixCursor(
-                source._initial, source._trace, stats
-            )
-        # The cursor's own factory forks the planner's already-built
-        # history index (if any) — shared immutable O(T) build products,
-        # private query cursors — so it costs no second history pass.
-        # Reusing the planner's factory would do as well in a serial
-        # campaign; that waits on ``perfbench/tracer.py``, which patches
-        # ``IncrementalHistoryIndex.fork`` by name.
-        self._factory = AdversarialImageFactory(
-            source.fault_model, source._initial, source._trace,
-            image_engine=source.image_engine, stats=stats,
-            shared_index=source.factory._index,
-        )
-
-    def __call__(self, task: InjectionTask):
-        if self._incremental:
-            if task.variant == VARIANT_PREFIX:
-                # Graceful prefix variant: pooled zero-copy buffer.
-                return self._engine.checkout(task.seq)
-            # Adversarial variants derive from the same engine's prefix
-            # image (one advance, shared with the prefix variant at this
-            # failure point) plus the factory's shared history index.
-            prefix = self._engine.image_at(task.seq)
-            return self._factory.materialise(
-                task.seq, task.variant, prefix_image=prefix
-            )
-        prefix = self._prefix.image_at(task.seq)
-        if task.variant == VARIANT_PREFIX:
-            return prefix
-        return self._factory.materialise(
-            task.seq, task.variant, prefix_image=prefix
-        )
-
-    def release(self, image: MaterialisedImage) -> None:
-        if self._engine is not None:
-            self._engine.release(image)
 
 
 class CampaignImageSource:
     """The crash-image source of a whole campaign.
 
     A campaign is a list of detection runs (one for an ordinary
-    campaign, one per schedule sample under ``--sched``); this wraps one
-    prefix or adversarial source per run and dispatches each task on
-    its run's schedule id.  Cursors create their per-run sub-cursors
-    lazily, so a shard that only executes tasks of one run pays for one
-    engine.
+    campaign, one per schedule sample under ``--sched``), and every task
+    carries its run's schedule id.  Each run gets a prefix builder on
+    its first task, so a shard that only executes tasks of one run pays
+    for one:
+
+    * ``image_engine="incremental"``: an
+      :class:`~repro.pmem.incremental.IncrementalImageEngine` handing the
+      prefix variant pooled copy-on-write buffers — moving between
+      consecutive failure points costs O(changed bytes), and the
+      recovery oracle adopts the buffer without copying;
+    * ``"replay"``: the same running image, copied whole per failure
+      point, with every adversarial variant rebuilt from the trace —
+      the differential-testing reference the image-engine tests
+      (``tests/pmem``, ``tests/core``) compare the incremental engine
+      against;
+    * ``reexecute`` (the ``--engine replay`` ablation): a callable that
+      returns a task's prefix image by re-executing the target.
+
+    Adversarial variants are materialised from the prefix image at their
+    failure point by the run's planner factory (:meth:`factory`), and one
+    :class:`~repro.pmem.incremental.ImageEngineStats` counts the planners
+    and every builder.
     """
 
     def __init__(
@@ -866,60 +698,65 @@ class CampaignImageSource:
         runs: Sequence,
         fault_model: Optional[FaultModelConfig] = None,
         image_engine: str = ENGINE_IMAGE_REPLAY,
+        reexecute: Optional[Callable[[InjectionTask], bytes]] = None,
     ):
-        self.image_engine = image_engine
-        self.sources: Dict[int, Any] = {}
-        for run in runs:
-            if fault_model is not None and fault_model.is_adversarial:
-                source = AdversarialImageSource(
-                    run.initial_image,
-                    run.trace,
-                    fault_model,
-                    image_engine=image_engine,
-                )
-            else:
-                source = PrefixImageSource(
-                    run.initial_image,
-                    run.trace,
-                    image_engine=image_engine,
-                )
-            self.sources[run.sched] = source
+        self.image_engine = validate_image_engine(image_engine)
+        self.fault_model = fault_model or FaultModelConfig()
+        self.stats = ImageEngineStats()
+        self._runs = {run.sched: run for run in runs}
+        self._reexecute = reexecute
+        self._factories: Dict[int, AdversarialImageFactory] = {}
+        self._engines: Dict[int, IncrementalImageEngine] = {}
+        #: Pooled buffers must go back to the engine that issued them.
+        self._owner: Dict[int, IncrementalImageEngine] = {}
 
-    def cursor(self) -> "_CampaignCursor":
-        return _CampaignCursor(self)
+    def factory(self, sched: int) -> AdversarialImageFactory:
+        """The run's planner factory; it also materialises the variants."""
+        factory = self._factories.get(sched)
+        if factory is None:
+            run = self._runs[sched]
+            factory = self._factories[sched] = AdversarialImageFactory(
+                self.fault_model, run.initial_image, run.trace,
+                image_engine=self.image_engine, stats=self.stats,
+            )
+        return factory
 
-    def collect_stats(self) -> ImageEngineStats:
-        """Every run source's image-engine counters, summed into one."""
-        total = ImageEngineStats()
-        for sched in sorted(self.sources):
-            total.merge(self.sources[sched].stats)
-        return total
-
-
-class _CampaignCursor:
-    """The campaign's cursor; tracks which sub-cursor owns a pooled image."""
-
-    def __init__(self, source: CampaignImageSource):
-        self._source = source
-        self._cursors: Dict[int, Any] = {}
-        self._owner: Dict[int, Any] = {}
+    def _engine(self, sched: int) -> IncrementalImageEngine:
+        engine = self._engines.get(sched)
+        if engine is None:
+            run = self._runs[sched]
+            engine = self._engines[sched] = IncrementalImageEngine(
+                run.initial_image, run.trace, stats=self.stats
+            )
+        return engine
 
     def __call__(self, task: InjectionTask):
-        cursor = self._cursors.get(task.sched)
-        if cursor is None:
-            cursor = self._source.sources[task.sched].cursor()
-            self._cursors[task.sched] = cursor
-        image = cursor(task)
-        if isinstance(image, MaterialisedImage):
-            # Pooled buffers must go back to the engine that issued them.
-            self._owner[id(image)] = cursor
-        return image
+        if self._reexecute is not None:
+            prefix = self._reexecute(task)
+        else:
+            engine = self._engine(task.sched)
+            if (
+                task.variant == VARIANT_PREFIX
+                and self.image_engine == ENGINE_IMAGE_INCREMENTAL
+            ):
+                image = engine.checkout(task.seq)
+                self._owner[id(image)] = engine
+                return image
+            # Adversarial variants derive from the same engine's prefix
+            # image (one advance, shared with the prefix variant at this
+            # failure point).
+            prefix = engine.image_at(task.seq)
+        if task.variant == VARIANT_PREFIX:
+            return prefix
+        return self.factory(task.sched).materialise(
+            task.seq, task.variant, prefix_image=prefix
+        )
 
     def release(self, image) -> None:
-        cursor = self._owner.pop(id(image), None)
-        release = getattr(cursor, "release", None)
-        if release is not None:
-            release(image)
+        """Hand a pooled buffer back to the engine that issued it."""
+        engine = self._owner.pop(id(image), None)
+        if engine is not None:
+            engine.release(image)
 
 
 # --------------------------------------------------------------------- #
@@ -1325,13 +1162,12 @@ def run_campaign(
         if heartbeat is not None:
             heartbeat.note(result)
 
-    cursor = image_source.cursor()
     for task in todo:
         if stop is not None and stop.is_set():
             campaign.drained = True
             break
         result = execute_injection(
-            task, cursor, app_factory, config, sleep=sleep,
+            task, image_source, app_factory, config, sleep=sleep,
             telemetry=telemetry, recovery=recovery,
         )
         campaign.retries += result.attempts - 1

@@ -551,9 +551,9 @@ class Mumak:
         fingerprint = config.fingerprint(target_name)
         if config.engine != ENGINE_TRACE:
             raise ValueError(
-                "--shards/--chaos/--fleet require the trace engine; the "
-                "replay engine discovers failure points by re-execution "
-                "and is inherently serial"
+                "--shards/--chaos/--fleet require the trace engine; "
+                "--engine replay is the in-process ablation reference "
+                "and is not distributed"
             )
         if config.fleet_dir is not None:
             if config.sched is not None:

@@ -1003,8 +1003,6 @@ def _run_lease(
     """Execute one leased slice and ship its journal + vcache delta."""
     import os
 
-    from repro.core.harness import CampaignJournal, run_campaign
-
     slice_tasks = [
         task for task in tasks if task.index % slices == lease.slice_id
     ]
@@ -1020,36 +1018,24 @@ def _run_lease(
     journal_path = os.path.join(
         workdir, f"slice{lease.slice_id}.t{lease.token}.jsonl"
     )
-    journal = CampaignJournal(journal_path, fingerprint, seed=seed, interval=1)
-    engine = injector.recovery_engine(runs, journal_path)
-    if engine is not None and engine.cache is not None:
-        # Adopt every shipped verdict before running: a re-leased or
-        # duplicated slice replays from memory instead of re-verifying
-        # (the acceptance criterion for duplicates).
+
+    def shipped_caches():
         for name in fleet_transport.list(VCACHE_PREFIX):
             try:
-                summary.adopted_verdicts += engine.cache.adopt_bytes(
-                    fleet_transport.get(name)
-                )
+                yield fleet_transport.get(name)
             except (TransportMissing, TransportError):
                 continue
+
     stop = stop_event or threading.Event()
-    beacon = _WorkerBeacon(worker, queue, lease, stop)
-    try:
-        run_campaign(
-            slice_tasks,
-            source,
-            app_factory,
-            config=injector.harness,
-            journal=journal,
-            heartbeat=beacon,
-            recovery=engine,
-            stop=stop,
-        )
-    finally:
-        if engine is not None:
-            engine.close()
-        journal.close()
+    # Every shipped verdict is adopted before running: a re-leased or
+    # duplicated slice replays from memory instead of re-verifying.
+    _, engine = injector.run_slice(
+        runs, source, slice_tasks, app_factory, journal_path, fingerprint,
+        seed, donors=shipped_caches(),
+        heartbeat=_WorkerBeacon(worker, queue, lease, stop), stop=stop,
+    )
+    if engine is not None:
+        summary.adopted_verdicts += engine.stats.cache_loaded
     with open(journal_path, "rb") as fh:
         journal_bytes = fh.read()
     cache_bytes = None

@@ -318,6 +318,14 @@ class ShardSupervisor:
     # -- lifecycle ----------------------------------------------------- #
 
     def _spawn(self, shard: _Shard, remaining: list) -> None:
+        if shard.respawns:
+            # A SIGKILL can land while the dead incarnation holds its
+            # event queue's write lock, which nothing would ever release
+            # and every later ``put`` would wait on: fold what it sent,
+            # then give the respawn a fresh queue.
+            self._pump_shard(shard, draining=False)
+            shard.queue.close()
+            shard.queue = self._ctx.SimpleQueue()
         process = self._ctx.Process(
             target=_shard_entry,
             args=(
@@ -354,12 +362,15 @@ class ShardSupervisor:
 
     def _pump_events(self, draining: bool) -> None:
         for shard in self._shards:
-            while not shard.queue.empty():
-                try:
-                    event = shard.queue.get()
-                except (EOFError, OSError):  # pragma: no cover - dead pipe
-                    break
-                self._handle_event(shard, event, draining)
+            self._pump_shard(shard, draining)
+
+    def _pump_shard(self, shard: _Shard, draining: bool) -> None:
+        while not shard.queue.empty():
+            try:
+                event = shard.queue.get()
+            except (EOFError, OSError):  # pragma: no cover - dead pipe
+                break
+            self._handle_event(shard, event, draining)
 
     def _handle_event(self, shard: _Shard, event, draining: bool) -> None:
         self.stats.events += 1

@@ -171,8 +171,8 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create registry of named, labelled metrics.
 
-    Not locked: campaign workers own private registries merged at the
-    supervisor (:meth:`merge`), matching the image-engine cursor pattern.
+    Not locked: in-process injection is serial, so one registry belongs
+    to one process; :meth:`merge` folds another process's registry in.
     """
 
     def __init__(self):

@@ -204,7 +204,6 @@ class AdversarialImageFactory:
         trace: Sequence[MemoryEvent],
         image_engine: str = ENGINE_IMAGE_REPLAY,
         stats: Optional[ImageEngineStats] = None,
-        shared_index: Optional[IncrementalHistoryIndex] = None,
     ):
         self.config = config
         self._initial = initial
@@ -216,11 +215,6 @@ class AdversarialImageFactory:
         self.image_engine = validate_image_engine(image_engine)
         self.stats = stats
         self._index: Optional[IncrementalHistoryIndex] = None
-        if shared_index is not None and self._incremental:
-            # Adopt an already-built pass (fork: shared immutable build
-            # products, private query cursors).  No history_passes
-            # increment — the pass was paid for by the donor.
-            self._index = shared_index.fork()
         self._engine: Optional[IncrementalImageEngine] = None
         #: Memoised per-failure-point analysis (campaigns visit failure
         #: points in order, so a size-1 cache hits almost always).

@@ -249,8 +249,8 @@ class IncrementalImageEngine:
     buffers for the oracle to recover against and reconcile them on
     reuse.
 
-    Not thread-safe: every cursor owns one engine (the image source
-    hands a fresh one to each).
+    Not thread-safe: a campaign's image source owns one engine per
+    detection run.
     """
 
     def __init__(
@@ -491,10 +491,12 @@ class IncrementalHistoryIndex:
         The O(T) ``_build`` products (``_records``, written/torn
         tables) are immutable after construction and safely shared; the
         mutable *query* state (candidate sweep cursor, size-1 caches)
-        is private per fork, so a per-cursor
-        :class:`~repro.pmem.faultmodel.AdversarialImageFactory` can hold
-        a fork and sweep independently of the planner without a second
-        history pass.
+        is private per fork.
+
+        Nothing calls this: a campaign materialises its variants with
+        the planner's own factory and index.  It stays only because the
+        benchmark's layer tracer (``perfbench/tracer.py``) wraps it by
+        name; delete it when the tracer stops listing it.
         """
         forked = object.__new__(IncrementalHistoryIndex)
         forked._image_size = self._image_size

@@ -124,7 +124,8 @@ class RecoveryEngine:
 
         Its verdict cache persists next to the slice journal
         (``<journal_path>.vcache``) and first adopts every verdict in
-        the ``donors`` cache files — leniently, so a donor torn in
+        the ``donors`` — cache file paths, or cache payloads (bytes)
+        shipped over a fleet transport — leniently, so a donor torn in
         flight or by a kill yields its clean prefix.  A SIGKILL can tear
         the slice cache's own header; the cache is an accelerator, never
         ground truth, so it is then rebuilt from scratch.
@@ -142,11 +143,13 @@ class RecoveryEngine:
             engine = cls(config, extent=extent)
         if engine.cache is not None:
             for donor in donors:
-                try:
-                    with open(donor, "rb") as fh:
-                        engine.cache.adopt_bytes(fh.read())
-                except OSError:
-                    continue
+                if not isinstance(donor, bytes):
+                    try:
+                        with open(donor, "rb") as fh:
+                            donor = fh.read()
+                    except OSError:
+                        continue
+                engine.cache.adopt_bytes(donor)
             engine.stats.cache_loaded = engine.cache.loaded
         return engine
 

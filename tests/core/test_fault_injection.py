@@ -1,14 +1,23 @@
 """Fault-injection engine tests, including trace/replay equivalence."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.btree import BTree
 from repro.apps.hashmap_atomic import HashmapAtomic
-from repro.core import ENGINE_REPLAY, ENGINE_TRACE, FaultInjector
+from repro.core import (
+    ENGINE_REPLAY,
+    ENGINE_TRACE,
+    FaultInjector,
+    Mumak,
+    MumakConfig,
+)
 from repro.core.oracle import RecoveryStatus
 from repro.instrument.tracer import GRANULARITY_STORE
+from repro.pmem.faultmodel import FaultModelConfig
 from repro.workloads import generate_workload
 
 
@@ -21,6 +30,23 @@ def buggy_btree():
 
 
 WORKLOAD = generate_workload(120, seed=5)
+#: Small enough for one re-execution per failure point.
+SHORT_WORKLOAD = generate_workload(5, seed=5)
+
+
+def checkpointed(tmp_path, engine, fault_model, name=None, resume=False):
+    """A checkpointed campaign on the buggy btree: (stats, journal lines)."""
+    path = tmp_path / (name or f"{engine}-{fault_model.model}.jsonl")
+    config = MumakConfig(
+        engine=engine,
+        fault_model=fault_model,
+        run_trace_analysis=False,
+        checkpoint_path=str(path),
+    )
+    result = Mumak(config).analyze(
+        buggy_btree, SHORT_WORKLOAD, resume_from=str(path) if resume else None
+    )
+    return result.fault_injection.stats, path.read_bytes().splitlines(True)
 
 
 @pytest.mark.slow
@@ -74,6 +100,38 @@ class TestReplayEngine:
         assert {f.stack for f in trace_result.findings} == {
             f.stack for f in replay_result.findings
         }
+
+    @pytest.mark.parametrize("model", ["prefix", "torn"])
+    def test_replay_journal_records_equal_trace_engine(self, tmp_path, model):
+        fault_model = FaultModelConfig(model=model)
+        trace_stats, trace_lines = checkpointed(
+            tmp_path, ENGINE_TRACE, fault_model
+        )
+        replay_stats, replay_lines = checkpointed(
+            tmp_path, ENGINE_REPLAY, fault_model
+        )
+        assert replay_stats.injections == trace_stats.injections
+        assert len(replay_lines) == 1 + replay_stats.injections
+        # The headers differ: the engine is part of the fingerprint.
+        assert replay_lines[1:] == trace_lines[1:]
+
+    def test_replay_campaign_resumes_byte_identical(self, tmp_path):
+        fault_model = FaultModelConfig(model="torn")
+        _, lines = checkpointed(tmp_path, ENGINE_REPLAY, fault_model)
+        # Cut right after a prefix record whose variants follow, so the
+        # resumed leg starts on a variant and re-executes its prefix.
+        cut = next(
+            i
+            for i, line in enumerate(lines[1:])
+            if json.loads(line)["variant"] != "prefix"
+        )
+        (tmp_path / "cut.jsonl").write_bytes(b"".join(lines[:1 + cut]))
+        stats, resumed = checkpointed(
+            tmp_path, ENGINE_REPLAY, fault_model, name="cut.jsonl",
+            resume=True,
+        )
+        assert stats.resumed == cut
+        assert resumed == lines
 
     def test_replay_reexecutes_per_failure_point(self):
         result = FaultInjector(engine=ENGINE_REPLAY).run(

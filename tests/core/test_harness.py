@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from repro.apps.btree import BTree
 from repro.core import Mumak, MumakConfig
-from repro.core.fault_injection import FaultInjector
+from repro.core.fault_injection import DetectionRun, FaultInjector
 from repro.core.harness import (
+    CampaignImageSource,
     CampaignJournal,
     HarnessConfig,
     InjectionTask,
-    PrefixImageSource,
     campaign_fingerprint,
     deterministic_backoff,
     execute_injection,
@@ -293,7 +293,9 @@ class TestCampaignLevel:
         factory = FlakyFactory(failures=10_000)
         campaign = run_campaign(
             monkey_tasks(trace)[:2],
-            PrefixImageSource(initial, trace),
+            CampaignImageSource(
+                [DetectionRun(-1, trace, initial_image=initial)]
+            ),
             factory,
             config=HarnessConfig(max_retries=1),
         )
@@ -308,7 +310,9 @@ class TestCampaignLevel:
         initial, trace, _ = monkey_run
         campaign = run_campaign(
             monkey_tasks(trace),
-            PrefixImageSource(initial, trace),
+            CampaignImageSource(
+                [DetectionRun(-1, trace, initial_image=initial)]
+            ),
             lambda: CrashMonkey("report"),
             config=HarnessConfig(),
         )
@@ -328,7 +332,9 @@ def run_monkey_campaign(monkey_run, journal=None, resume_state=None,
     initial, trace, _ = monkey_run
     return run_campaign(
         monkey_tasks(trace),
-        PrefixImageSource(initial, trace),
+        CampaignImageSource(
+            [DetectionRun(-1, trace, initial_image=initial)]
+        ),
         lambda: CrashMonkey(behaviour),
         config=HarnessConfig(),
         journal=journal,

@@ -9,8 +9,8 @@ the replay reference at the crash-image layer; this module proves the
 * checkpoint journals are byte-identical across engines, and the
   campaign fingerprint deliberately excludes the engine — a campaign
   checkpointed under one engine resumes under the other;
-* the parallel executor composes with the snapshot pool (per-cursor
-  engines) without changing output;
+* the campaign's image source composes the snapshot pool with the
+  adversarial planner's factory without changing output;
 * the hot-path accounting the benchmark reads (pool hits, bytes copied,
   one shared history pass) is actually reported.
 """
@@ -163,11 +163,11 @@ class TestHotPathAccounting:
         assert r.image_bytes_copied >= 10 * i.image_bytes_copied
 
     def test_history_passes_are_constant_not_per_point(self):
-        """Incremental: one shared pass per *campaign* — the planner
-        builds it and every cursor (serial or per-worker) adopts a
-        fork of the already-built index — regardless of how many
-        failure points and variants consume it.  Replay: at least one
-        full persistence-state-machine replay per failure point."""
+        """Incremental: one shared pass per *campaign* — the planner's
+        factory builds it and materialises every variant from it —
+        regardless of how many failure points and variants consume it.
+        Replay: at least one full persistence-state-machine replay per
+        failure point."""
         model = FaultModelConfig(model="adversarial", samples=2, seed=11)
         incremental = run(model)
         replay = run(model, image_engine=ENGINE_IMAGE_REPLAY)

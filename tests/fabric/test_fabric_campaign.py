@@ -59,6 +59,18 @@ class TestShardedEqualsSerial:
         assert result.fault_injection.stats.shards == 3
         assert find_shard_journals(ckpt) == []  # artifacts retired
 
+    def test_shards_relay_the_phase_split(self, tmp_path):
+        """Each shard relays its materialise/recovery wall-clock sums,
+        so a sharded run's phase split is not zero."""
+        _, result = _analyze_factory(tmp_path, "split", shards=2)
+        stats = result.fault_injection.stats
+        assert stats.materialise_seconds > 0
+        assert stats.recovery_seconds > 0
+        assert (
+            result.resources.detail_seconds["fault_injection.recovery"]
+            == stats.recovery_seconds
+        )
+
     def test_verdict_cache_merged_from_shards(self, serial, tmp_path):
         ckpt, _ = _analyze_factory(tmp_path, "cached", shards=2)
         # Same scope, same verdicts — the shard caches folded into one

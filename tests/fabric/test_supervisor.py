@@ -72,6 +72,19 @@ def _die_once_then_finish(shard_id, tasks, journal_path, beacon, stop):
                 os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _die_holding_the_event_lock_once(
+    shard_id, tasks, journal_path, beacon, stop
+):
+    """First incarnation: SIGKILLed while it holds its event queue's
+    write lock, as a chaos kill landing mid-``note`` does.  The respawn
+    must still report progress and finish."""
+    if not os.path.exists(journal_path):
+        CampaignJournal(journal_path, FP, interval=1).close()
+        beacon._events._wlock.acquire()
+        os.kill(os.getpid(), signal.SIGKILL)
+    _journal_all(shard_id, tasks, journal_path, beacon, stop)
+
+
 def _run(tasks, body, tmp_path, config=None, stop=None, base_records=None):
     ckpt = str(tmp_path / "camp.jsonl")
     supervisor = ShardSupervisor(
@@ -159,6 +172,23 @@ class TestDeathRecovery:
         clean = open(clean_ckpt, "rb").read()
         killed = open(killed_ckpt, "rb").read()
         assert clean == killed  # byte-identical despite two SIGKILLs
+
+    def test_death_holding_the_event_lock_does_not_wedge_the_respawn(
+        self, tmp_path
+    ):
+        outcome = []
+        runner = threading.Thread(
+            target=lambda: outcome.append(
+                _run(_tasks(4), _die_holding_the_event_lock_once, tmp_path)
+            ),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "a respawned shard wedged"
+        _, supervisor, result = outcome[0]
+        assert supervisor.stats.deaths == 2
+        assert sorted(result.records) == list(range(4))
 
     def test_respawn_budget_exhaustion_raises(self, tmp_path):
         def always_die(shard_id, tasks, journal_path, beacon, stop):

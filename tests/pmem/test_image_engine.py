@@ -398,8 +398,9 @@ class TestFactoryEquivalence:
         )
 
     def test_torn_with_supplied_prefix_image(self):
-        """The cursor hot path hands the engine's prefix image to
-        ``materialise``; the result must not depend on that shortcut."""
+        """The campaign's image source hands the engine's prefix image
+        to ``materialise``; the result must not depend on that
+        shortcut."""
         seed = 4
         initial = make_initial(seed)
         trace = make_trace(seed)

@@ -96,11 +96,20 @@ def _foreign_scope_cache(tmp_path):
     lambda tmp: ["--checkpoint", str(tmp / "missing.jsonl"), "--resume"],
     lambda tmp: ["--recovery-cache", str(tmp / "no-dir" / "v.vcache")],
     _foreign_scope_cache,
+    lambda tmp: ["--checkpoint-interval", "0"],
+    lambda tmp: ["--checkpoint-interval", "-3"],
+    lambda tmp: ["--machine-pool", "-1"],
+    lambda tmp: ["--obs-heartbeat", "-1"],
+    lambda tmp: ["--stall-window", "-1"],
+    lambda tmp: ["--fleet", str(tmp / "fleet"), "--fleet-patience", "-1"],
 ], ids=[
     "timeout-zero", "timeout-negative", "step-budget-zero", "ops-negative",
     "max-injections-negative", "bugs-unknown", "retries-negative",
     "adversarial-samples-zero", "fleet-ttl-zero", "resume-missing",
-    "cache-dir-missing", "cache-foreign-scope",
+    "cache-dir-missing", "cache-foreign-scope", "checkpoint-interval-zero",
+    "checkpoint-interval-negative", "machine-pool-negative",
+    "obs-heartbeat-negative", "stall-window-negative",
+    "fleet-patience-negative",
 ])
 def test_analyze_bad_input_is_one_line_refusal(extra, tmp_path, capsys):
     """Bad values and unusable files exit 2 with one stderr line, never a
