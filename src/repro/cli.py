@@ -18,7 +18,6 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.apps import (
@@ -28,14 +27,8 @@ from repro.apps import (
 )
 from repro.apps.bugs import REGISTRY, bugs_for_app, default_bugs_for
 from repro.core import Mumak, MumakConfig
-from repro.errors import CheckpointError
-from repro.fabric import (
-    ChaosConfig,
-    ChaosSpecError,
-    DrainController,
-    INTERRUPT_EXIT_CODE,
-    TransportChaosConfig,
-)
+from repro.errors import CheckpointError, ConfigError, FleetError
+from repro.fabric import DrainController, INTERRUPT_EXIT_CODE
 from repro.pmem.faultmodel import MODELS, FaultModelConfig
 from repro.pmem.incremental import ENGINE_IMAGE_INCREMENTAL, IMAGE_ENGINES
 from repro.recovery import VerdictCacheError
@@ -288,19 +281,6 @@ def _cmd_analyze(args) -> int:
         except ValueError as err:
             emit(str(err), stream=sys.stderr)
             return 2
-        if args.target not in THREADED_APPLICATIONS:
-            emit(f"--sched requires a multi-threaded target "
-                 f"({', '.join(sorted(THREADED_APPLICATIONS))}); "
-                 f"{args.target!r} is single-threaded", stream=sys.stderr)
-            return 2
-        if args.engine != "trace":
-            emit("--sched requires --engine trace", stream=sys.stderr)
-            return 2
-        if args.fleet:
-            emit("--sched is incompatible with --fleet (schedule "
-                 "samples are process-local detection products)",
-                 stream=sys.stderr)
-            return 2
     elif args.target in THREADED_APPLICATIONS:
         emit(f"{args.target!r} is a multi-threaded target; pass "
              f"--sched threads=N[,seed=S][,samples=K]", stream=sys.stderr)
@@ -309,80 +289,28 @@ def _cmd_analyze(args) -> int:
     if args.resume and not args.checkpoint:
         emit("--resume requires --checkpoint PATH", stream=sys.stderr)
         return 2
-    for flag, value, low in (
-        ("--ops", args.ops, 0),
-        ("--max-injections", args.max_injections, 0),
-        ("--step-budget", args.step_budget, 1),
-        ("--retries", args.retries, 0),
-        ("--shards", args.shards, 1),
-        ("--adversarial-samples", args.adversarial_samples, 1),
-        ("--checkpoint-interval", args.checkpoint_interval, 1),
-        ("--machine-pool", args.machine_pool, 0),
-        ("--obs-heartbeat", args.obs_heartbeat, 0),
-        ("--stall-window", args.stall_window, 0),
-        ("--fleet-patience", args.fleet_patience, 0),
-    ):
-        if value is not None and value < low:
-            emit(f"{flag} must be >= {low}", stream=sys.stderr)
-            return 2
-    for flag, value in (
-        ("--timeout", args.timeout),
-        ("--fleet-ttl", args.fleet_ttl),
-    ):
-        if value is not None and value <= 0:
-            emit(f"{flag} must be > 0", stream=sys.stderr)
-            return 2
+    if args.ops < 0:
+        emit("--ops must be >= 0", stream=sys.stderr)
+        return 2
     recovery_cache = args.recovery_cache
     if recovery_cache.lower() in ("on", "off"):
         recovery_cache = recovery_cache.lower()
-    elif not os.path.isdir(os.path.dirname(os.path.abspath(recovery_cache))):
-        emit(f"--recovery-cache {recovery_cache}: directory does not exist",
-             stream=sys.stderr)
+    try:
+        fault_model = FaultModelConfig(
+            model=args.fault_model,
+            torn_writes=args.torn_writes,
+            media_errors=args.media_errors,
+            samples=args.adversarial_samples,
+            seed=args.fault_seed,
+        )
+    except ValueError as err:
+        emit(f"--adversarial-samples: {err}", stream=sys.stderr)
         return 2
-    if args.chaos is not None:
-        try:
-            ChaosConfig.parse(args.chaos)
-        except ChaosSpecError as err:
-            emit(str(err), stream=sys.stderr)
-            return 2
-    if (args.shards > 1 or args.chaos) and args.engine != "trace":
-        emit("--shards/--chaos require --engine trace",
-             stream=sys.stderr)
-        return 2
-    if args.transport_chaos is not None:
-        if not args.fleet:
-            emit("--transport-chaos requires --fleet DIR",
-                 stream=sys.stderr)
-            return 2
-        try:
-            TransportChaosConfig.parse(args.transport_chaos)
-        except ChaosSpecError as err:
-            emit(str(err), stream=sys.stderr)
-            return 2
-    if args.fleet:
-        if args.fleet_slices < 1:
-            emit("--fleet-slices must be >= 1", stream=sys.stderr)
-            return 2
-        if args.shards > 1 or args.chaos:
-            emit("--fleet is incompatible with --shards/--chaos "
-                 "(one fabric at a time: lease slices already "
-                 "partition the campaign)", stream=sys.stderr)
-            return 2
-        if args.engine != "trace":
-            emit("--fleet requires --engine trace", stream=sys.stderr)
-            return 2
 
     def factory():
         return cls(**options)
 
     workload = generate_workload(args.ops, seed=args.seed)
-    fault_model = FaultModelConfig(
-        model=args.fault_model,
-        torn_writes=args.torn_writes,
-        media_errors=args.media_errors,
-        samples=args.adversarial_samples,
-        seed=args.fault_seed,
-    )
     # Two-stage signal handling: the first SIGINT/SIGTERM requests a
     # graceful drain (checkpoint + verdict cache flushed, resumable via
     # --resume), a second one force-exits 130.  The drain notice carries
@@ -443,9 +371,11 @@ def _cmd_analyze(args) -> int:
             result = Mumak(config).analyze(
                 factory, workload, resume_from=resume_from
             )
-        except (CheckpointError, VerdictCacheError) as err:
-            # A missing or foreign checkpoint, or a verdict cache
-            # recorded under another scope: refusal, not a traceback.
+        except (
+            ConfigError, CheckpointError, VerdictCacheError, FleetError
+        ) as err:
+            # A refused config, a missing or foreign checkpoint or fleet
+            # dir, or a verdict cache of another scope: one line, exit 2.
             emit(str(err), stream=sys.stderr)
             return 2
     emit(result.report.render(include_warnings=not args.no_warnings))
@@ -584,7 +514,7 @@ def _cmd_tools(_args) -> int:
 
 
 def _cmd_fleet(args) -> int:
-    from repro.errors import FleetError, TransportError
+    from repro.errors import TransportError
     from repro.fabric.fleet import run_fleet_worker
 
     try:

@@ -288,20 +288,6 @@ class DetectionRun:
     threads: int = 0
 
 
-def _distributable(tasks, resume_state, base_records):
-    """The resume filter of a distributed campaign: the tasks to hand
-    out, the indices a checkpoint already holds, and the raw records the
-    merge starts from."""
-    todo, restored = split_resumed(tasks, resume_state)
-    base_records = dict(base_records or {})
-    for task in todo:
-        # A stale record for a task that must re-run would shadow the
-        # fresh result at merge time (first-writer wins); drop it so the
-        # new record is the only one.
-        base_records.pop(task.index, None)
-    return todo, {result.task.index for result in restored}, base_records
-
-
 class FaultInjector:
     """Configurable fault-injection engine.
 
@@ -655,9 +641,7 @@ class FaultInjector:
 
         stats = self._stats(runs, shards=fabric.shards)
         source, tasks = self.plan(runs)
-        todo, restored, base_records = _distributable(
-            tasks, resume_state, base_records
-        )
+        todo, restored = split_resumed(tasks, resume_state)
         donors = self._campaign_cache()
 
         def worker_body(shard_id, shard_tasks, journal_path, beacon, stop):
@@ -711,7 +695,7 @@ class FaultInjector:
             seed,
             config=fabric,
             base_records=base_records,
-            restored_indices=restored,
+            restored_indices={result.task.index for result in restored},
             telemetry=self.telemetry,
             heartbeat=self._heartbeat(len(todo)),
             stop=self.stop,
@@ -760,9 +744,7 @@ class FaultInjector:
 
         stats = self._stats(runs, fleet_slices=fleet.slices)
         source, tasks = self.plan(runs)
-        todo, restored, base_records = _distributable(
-            tasks, resume_state, base_records
-        )
+        todo, restored = split_resumed(tasks, resume_state)
         donors = self._campaign_cache()
 
         def local_runner(slice_id, slice_tasks, journal_path, stop):
@@ -791,7 +773,7 @@ class FaultInjector:
             spec=spec,
             local_runner=local_runner,
             base_records=base_records,
-            restored_indices=restored,
+            restored_indices={result.task.index for result in restored},
             telemetry=self.telemetry,
             heartbeat=self._heartbeat(len(todo)),
             stop=self.stop,

@@ -267,7 +267,9 @@ def task_order_key(task: InjectionTask) -> Tuple[int, int]:
 def same_injection(a: InjectionTask, b: InjectionTask) -> bool:
     """Whether two tasks probe the same crash image: a checkpointed or
     shipped result stands in for a planned task only when this holds."""
-    return (a.stack, a.variant, a.sched) == (b.stack, b.variant, b.sched)
+    return (a.stack, a.variant, a.sched, a.seq) == (
+        b.stack, b.variant, b.sched, b.seq
+    )
 
 
 @dataclass
@@ -313,15 +315,22 @@ def split_resumed(
     resume_state: Optional[Dict[int, InjectionResult]],
 ) -> Tuple[List[InjectionTask], List[InjectionResult]]:
     """Partition a plan into the tasks still to run and the results a
-    checkpoint already holds for the others (the one resume filter)."""
+    checkpoint already holds for the others (the one resume filter).
+    The fingerprint omits the workload and the target's options, so a
+    record of another injection at a planned index is refused."""
     todo: List[InjectionTask] = []
     restored: List[InjectionResult] = []
     for task in tasks:
         done = resume_state.get(task.index) if resume_state else None
-        if done is not None and same_injection(done.task, task):
+        if done is None:
+            todo.append(task)
+        elif same_injection(done.task, task):
             restored.append(done)
         else:
-            todo.append(task)
+            raise CheckpointError(
+                f"checkpoint record {task.index} is another workload's "
+                "injection (--ops/--spt/--bugs changed?); start afresh"
+            )
     return todo, restored
 
 

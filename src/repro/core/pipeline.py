@@ -14,6 +14,7 @@ pipeline:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -43,6 +44,7 @@ from repro.core.trace_analysis import (
     resolve_sites,
     resolve_sites_scheduled,
 )
+from repro.errors import CheckpointError, ConfigError
 from repro.instrument.runner import run_instrumented
 from repro.instrument.tracer import (
     GRANULARITY_PERSISTENCY,
@@ -242,6 +244,101 @@ class MumakConfig:
         return campaign_fingerprint(self.fingerprint_payload(target_name))
 
 
+#: The refusal table, consulted by :meth:`Mumak.analyze` before detection:
+#: a config that could not reproduce the serial journal bytes, or names a
+#: path the campaign cannot use, is refused in one line naming the CLI
+#: flag.  Numeric bounds: ``(flag, field, low)``; ``None`` is unbounded.
+_BOUNDS = (
+    ("--max-injections", "max_injections", 0),
+    ("--step-budget", "step_budget", 1),
+    ("--retries", "max_retries", 0),
+    ("--shards", "shards", 1),
+    ("--checkpoint-interval", "checkpoint_interval", 1),
+    ("--machine-pool", "machine_pool", 0),
+    ("--obs-heartbeat", "obs_heartbeat_seconds", 0),
+    ("--stall-window", "stall_window_seconds", 0),
+    ("--fleet-patience", "fleet_patience_seconds", 0),
+    ("--fleet-slices", "fleet_slices", 1),
+)
+
+
+def _spec_error(spec: Optional[str], parser: str) -> Optional[str]:
+    """Why a chaos spec does not parse; loads repro.fabric only for one."""
+    if spec is not None:
+        from repro.fabric import chaos
+
+        try:
+            getattr(chaos, parser).parse(spec)
+        except chaos.ChaosSpecError as err:
+            return str(err)
+    return None
+
+
+def _file_error(path: Optional[str]) -> Optional[str]:
+    """Why the campaign cannot write the file ``path``."""
+    if path is None:
+        return None
+    if os.path.isdir(path):
+        return "is a directory"
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        return "directory does not exist"
+    return None
+
+
+#: Duration, combination and path rows: ``(condition, message)``.  A true
+#: ``condition(config, app_factory)`` refuses with the message, formatted
+#: with the condition's result as ``{0}`` and the config as ``{c}``.
+_REFUSALS = (
+    (lambda c, _: c.timeout_seconds is not None and c.timeout_seconds <= 0,
+     "--timeout must be > 0"),
+    (lambda c, _: c.fleet_ttl_seconds <= 0, "--fleet-ttl must be > 0"),
+    (lambda c, app: c.sched and not hasattr(app(), "thread_bodies"),
+     "--sched requires a multi-threaded target (see 'mumak targets')"),
+    (lambda c, _: c.sched and c.engine != ENGINE_TRACE,
+     "--sched requires --engine trace"),
+    (lambda c, _: c.sched and c.fleet_dir is not None,
+     "--sched is incompatible with --fleet (schedule samples are "
+     "process-local detection products)"),
+    (lambda c, _: _spec_error(c.chaos, "ChaosConfig"), "{0}"),
+    (lambda c, _: (c.shards > 1 or c.chaos) and c.engine != ENGINE_TRACE,
+     "--shards/--chaos require --engine trace"),
+    (lambda c, _: c.transport_chaos is not None and c.fleet_dir is None,
+     "--transport-chaos requires --fleet DIR"),
+    (lambda c, _: _spec_error(c.transport_chaos, "TransportChaosConfig"),
+     "{0}"),
+    (lambda c, _: c.fleet_dir is not None and (c.shards > 1 or c.chaos),
+     "--fleet is incompatible with --shards/--chaos (one fabric at a "
+     "time: lease slices already partition the campaign)"),
+    (lambda c, _: c.fleet_dir is not None and c.engine != ENGINE_TRACE,
+     "--fleet requires --engine trace"),
+    (lambda c, _: c.fleet_dir is not None
+     and "target" not in (c.campaign_spec or {}),
+     "--fleet needs a campaign_spec naming the target (the CLI builds it)"),
+    (lambda c, _: _file_error(c.checkpoint_path),
+     "--checkpoint {c.checkpoint_path}: {0}"),
+    (lambda c, _: c.recovery_cache not in ("on", "off")
+     and _file_error(c.recovery_cache),
+     "--recovery-cache {c.recovery_cache}: {0}"),
+    (lambda c, _: c.fleet_dir and os.path.isfile(c.fleet_dir),
+     "--fleet {c.fleet_dir}: not a directory"),
+    (lambda c, _: c.obs_dir and os.path.isfile(c.obs_dir),
+     "--obs {c.obs_dir}: not a directory"),
+)
+
+
+def _check_config(config: MumakConfig, app_factory: Callable[[], Any]) -> None:
+    """Raise :class:`~repro.errors.ConfigError` with the one line of the
+    first table row that refuses ``config``; return if none does."""
+    for flag, name, low in _BOUNDS:
+        value = getattr(config, name)
+        if value is not None and value < low:
+            raise ConfigError(f"{flag} must be >= {low}")
+    for condition, message in _REFUSALS:
+        hit = condition(config, app_factory)
+        if hit:
+            raise ConfigError(message.format(hit, c=config))
+
+
 @dataclass
 class MumakResult:
     report: AnalysisReport
@@ -278,8 +375,11 @@ class Mumak:
         target are fingerprint-checked — whose completed injections are
         restored instead of re-executed.  The resumed report is
         byte-identical to an uninterrupted run.
+
+        A refused config raises :class:`~repro.errors.ConfigError` first.
         """
         config = self.config
+        _check_config(config, app_factory)
         usage = ResourceUsage(cpu_load=MUMAK_CPU_LOAD)
         timer = PhaseTimer(usage)
         report = AnalysisReport()
@@ -290,12 +390,6 @@ class Mumak:
         # one per schedule sample under --sched.  The first run's trace
         # and tree stand in wherever the pipeline needs "the" trace
         # (trace analysis, the result).
-        if config.sched is not None and config.engine != ENGINE_TRACE:
-            raise ValueError(
-                "--sched requires the trace engine; the replay engine "
-                "re-executes the target per failure point and has no "
-                "notion of a recorded interleaving"
-            )
         with timer.phase("instrumented_run"):
             with telemetry.span("campaign/instrumented_run"):
                 if config.sched is not None:
@@ -533,11 +627,9 @@ class Mumak:
         the run.
         """
         import dataclasses
-        import os
         import tempfile
 
         from repro.core.harness import read_journal, result_from_record
-        from repro.errors import CheckpointError
         from repro.fabric import (
             ChaosConfig,
             FabricConfig,
@@ -549,25 +641,7 @@ class Mumak:
 
         config = self.config
         fingerprint = config.fingerprint(target_name)
-        if config.engine != ENGINE_TRACE:
-            raise ValueError(
-                "--shards/--chaos/--fleet require the trace engine; "
-                "--engine replay is the in-process ablation reference "
-                "and is not distributed"
-            )
         if config.fleet_dir is not None:
-            if config.sched is not None:
-                raise ValueError(
-                    "--sched is incompatible with --fleet: schedule "
-                    "samples are process-local detection products and "
-                    "are not published over the fleet transport"
-                )
-            if not config.campaign_spec or "target" not in config.campaign_spec:
-                raise ValueError(
-                    "fleet campaigns need a campaign spec naming the "
-                    "target and workload (the CLI builds one; library "
-                    "callers pass MumakConfig.campaign_spec)"
-                )
             fleet_config = FleetConfig(
                 root=config.fleet_dir,
                 slices=config.fleet_slices,

@@ -115,6 +115,10 @@ class WatchdogTimeout(ReproError):
         self.seconds = seconds
 
 
+class ConfigError(ReproError, ValueError):
+    """A config refused by the refusal table in :mod:`repro.core.pipeline`."""
+
+
 class HarnessError(ReproError):
     """The hardened campaign runner itself failed (not the target)."""
 

@@ -1,5 +1,9 @@
 """End-to-end pipeline and report tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps.btree import BTree
@@ -13,9 +17,59 @@ from repro.core import (
     PHASE_FAULT_INJECTION,
     PHASE_TRACE_ANALYSIS,
 )
+from repro.errors import ConfigError
+from repro.sched.config import SchedConfig
 from repro.workloads import generate_workload
 
 WORKLOAD = generate_workload(150, seed=3)
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+SPEC = {"target": "btree", "options": {"spt": True}, "ops": 20,
+        "workload_seed": 0}
+
+
+def _file(tmp):
+    path = tmp / "a-file"
+    path.write_text("x\n")
+    return str(path)
+
+
+#: Configs the CLI refuses, each with a substring of the refusal line.
+#: Before the refusal table, the library ran every one of them: on
+#: bug-free btree, ``timeout_seconds=0`` reported 30 false bugs,
+#: ``step_budget=0`` 36, and ``max_injections=-1`` ran no injections.
+REFUSED = {
+    "timeout-zero": (lambda tmp: {"timeout_seconds": 0}, "--timeout"),
+    "step-budget-zero": (lambda tmp: {"step_budget": 0}, "--step-budget"),
+    "max-injections-negative": (
+        lambda tmp: {"max_injections": -1}, "--max-injections"
+    ),
+    "fleet-slices-zero": (lambda tmp: {"fleet_slices": 0}, "--fleet-slices"),
+    "fleet-with-shards": (
+        lambda tmp: {"fleet_dir": str(tmp / "fleet"), "shards": 2,
+                     "campaign_spec": SPEC},
+        "incompatible",
+    ),
+    "fleet-without-spec": (
+        lambda tmp: {"fleet_dir": str(tmp / "fleet")}, "campaign_spec"
+    ),
+    "transport-chaos-without-fleet": (
+        lambda tmp: {"transport_chaos": "drop=0.5"},
+        "--transport-chaos requires --fleet",
+    ),
+    "chaos-unparsable": (lambda tmp: {"chaos": "explode=1"}, "explode"),
+    "shards-with-replay": (
+        lambda tmp: {"shards": 2, "engine": "replay"}, "--engine trace"
+    ),
+    "sched-single-threaded": (
+        lambda tmp: {"sched": SchedConfig(threads=2)},
+        "multi-threaded target",
+    ),
+    "checkpoint-dir-missing": (
+        lambda tmp: {"checkpoint_path": str(tmp / "no" / "c.jsonl")},
+        "directory does not exist",
+    ),
+    "obs-dir-is-a-file": (lambda tmp: {"obs_dir": _file(tmp)}, "directory"),
+}
 
 
 class TestPipeline:
@@ -82,6 +136,49 @@ class TestPipeline:
         assert {f.dedup_key() for f in first.report.bugs} == {
             f.dedup_key() for f in second.report.bugs
         }
+
+
+class TestLibraryRefusals:
+    """``Mumak.analyze`` refuses what the CLI refuses, before detection."""
+
+    @pytest.fixture
+    def no_detection(self, monkeypatch):
+        def detect(*args, **kwargs):
+            raise AssertionError("detection ran before the refusal")
+
+        monkeypatch.setattr("repro.core.pipeline.run_instrumented", detect)
+        monkeypatch.setattr("repro.sched.campaign.detect_schedules", detect)
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_before_detection(self, case, tmp_path, no_detection):
+        knobs, words = REFUSED[case]
+        config = MumakConfig(**knobs(tmp_path))
+        with pytest.raises(ConfigError, match=words) as refusal:
+            Mumak(config).analyze(
+                lambda: BTree(bugs=(), spt=True), WORKLOAD[:20]
+            )
+        assert len(str(refusal.value).splitlines()) == 1
+        assert isinstance(refusal.value, ValueError)
+
+    def test_serial_analyze_leaves_the_fabric_unimported(self):
+        """The chaos-spec rows import repro.fabric only for a spec."""
+        script = (
+            "import sys\n"
+            "from repro.apps.btree import BTree\n"
+            "from repro.core import Mumak, MumakConfig\n"
+            "from repro.workloads import generate_workload\n"
+            "Mumak(MumakConfig(max_injections=2)).analyze(\n"
+            "    lambda: BTree(bugs=(), spt=True), generate_workload(20))\n"
+            "print([m for m in sys.modules if m.startswith('repro.fabric')])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestReport:

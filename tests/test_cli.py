@@ -1,8 +1,19 @@
 """CLI frontend tests."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
+from repro.core.harness import campaign_fingerprint
+from repro.fabric.fleet import MANIFEST_NAME, FleetConfig, build_manifest
+from repro.fabric.transport import DirTransport
 from repro.recovery import VerdictCache
 
 
@@ -83,6 +94,24 @@ def _foreign_scope_cache(tmp_path):
     return ["--recovery-cache", path]
 
 
+def _a_file(tmp_path):
+    path = tmp_path / "a-file"
+    path.write_text("x\n")
+    return str(path)
+
+
+def _foreign_fleet(tmp_path):
+    """A fleet dir that hosts another campaign's manifest."""
+    root = str(tmp_path / "fleet")
+    payload = {"target": "other", "ops": 1}
+    manifest = build_manifest(
+        campaign_fingerprint(payload), payload, 0, FleetConfig(root=root),
+        {"target": "other"},
+    )
+    DirTransport(root).put(MANIFEST_NAME, json.dumps(manifest).encode())
+    return ["--fleet", root, "--fleet-patience", "0"]
+
+
 @pytest.mark.parametrize("extra", [
     lambda tmp: ["--timeout", "0"],
     lambda tmp: ["--timeout", "-1"],
@@ -102,6 +131,12 @@ def _foreign_scope_cache(tmp_path):
     lambda tmp: ["--obs-heartbeat", "-1"],
     lambda tmp: ["--stall-window", "-1"],
     lambda tmp: ["--fleet", str(tmp / "fleet"), "--fleet-patience", "-1"],
+    lambda tmp: ["--checkpoint", str(tmp / "missing" / "c.jsonl")],
+    lambda tmp: ["--checkpoint", str(tmp)],
+    lambda tmp: ["--recovery-cache", str(tmp)],
+    lambda tmp: ["--fleet", _a_file(tmp)],
+    lambda tmp: ["--obs", _a_file(tmp)],
+    _foreign_fleet,
 ], ids=[
     "timeout-zero", "timeout-negative", "step-budget-zero", "ops-negative",
     "max-injections-negative", "bugs-unknown", "retries-negative",
@@ -109,7 +144,9 @@ def _foreign_scope_cache(tmp_path):
     "cache-dir-missing", "cache-foreign-scope", "checkpoint-interval-zero",
     "checkpoint-interval-negative", "machine-pool-negative",
     "obs-heartbeat-negative", "stall-window-negative",
-    "fleet-patience-negative",
+    "fleet-patience-negative", "checkpoint-dir-missing",
+    "checkpoint-is-a-dir", "cache-is-a-dir", "fleet-is-a-file",
+    "obs-is-a-file", "fleet-hosts-another-campaign",
 ])
 def test_analyze_bad_input_is_one_line_refusal(extra, tmp_path, capsys):
     """Bad values and unusable files exit 2 with one stderr line, never a
@@ -120,6 +157,87 @@ def test_analyze_bad_input_is_one_line_refusal(extra, tmp_path, capsys):
     assert code == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("fabric", [[], ["--shards", "2"]],
+                         ids=["serial", "shards"])
+def test_resume_of_another_workload_is_refused(fabric, tmp_path, capsys):
+    """The fingerprint omits the workload: a checkpoint of --ops 40 must
+    not seed an --ops 60 campaign (it restored 31 of 56 injections)."""
+    path = tmp_path / "c.jsonl"
+    base = ["analyze", "btree", "--spt", "--checkpoint", str(path)]
+    assert main(base + ["--ops", "40"]) == 1
+    before = path.read_bytes()
+    capsys.readouterr()
+    code = main(base + ["--ops", "60", "--resume"] + fabric)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "another workload" in err
+    assert path.read_bytes() == before
+
+
+#: Flag values the sweep draws from: out-of-range numbers and unusable
+#: specs next to valid values, so that some draws run and some refuse.
+SWEEP_FLAGS = {
+    "--timeout": ["30", "0", "-1"],
+    "--step-budget": ["1000000", "0", "-1"],
+    "--retries": ["0", "-1", "2"],
+    "--shards": ["1", "0", "-1"],
+    "--checkpoint-interval": ["5", "0", "1"],
+    "--machine-pool": ["0", "-1", "1"],
+    "--fleet-slices": ["2", "0", "1"],
+    "--fleet-ttl": ["5", "0", "-1"],
+    "--fleet-patience": ["0", "-1", "0"],
+    "--stall-window": ["0", "-1", "1"],
+    "--obs-heartbeat": ["0", "-1", "0"],
+    "--max-injections": ["2", "-1", "0"],
+    "--adversarial-samples": ["1", "0", "2"],
+    "--fault-model": ["prefix", "torn", "adversarial"],
+    "--engine": ["trace", "replay", "trace"],
+    "--chaos": ["kill-worker=0.5,seed=1", "frob=1", "kill-worker=2"],
+    "--transport-chaos": ["drop=0.5", "explode=1", "drop=2"],
+    "--sched": ["threads=2", "threads=9", "threads=2"],
+}
+PATH_FLAGS = ("--checkpoint", "--recovery-cache", "--obs", "--fleet")
+PATH_KINDS = ("dir", "file", "missing-dir")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    flags=st.dictionaries(
+        st.sampled_from(sorted(SWEEP_FLAGS)), st.integers(0, 2), max_size=3
+    ),
+    paths=st.dictionaries(
+        st.sampled_from(PATH_FLAGS), st.sampled_from(PATH_KINDS),
+        max_size=2,
+    ),
+)
+def test_analyze_runs_or_refuses_in_one_line(flags, paths):
+    """Any flag combination runs, or exits 2 with one stderr line; it
+    never escapes as an exception (a traceback)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["analyze", "btree", "--ops", "20", "--spt",
+                "--max-injections", "2", "--fleet-patience", "0"]
+        for flag, pick in flags.items():
+            argv += [flag, SWEEP_FLAGS[flag][pick]]
+        for flag, kind in paths.items():
+            path = Path(tmp) / flag.strip("-")
+            if kind == "missing-dir":
+                path = path / "missing" / "x"
+            elif kind == "file":
+                path.write_text("x\n")
+            else:
+                path.mkdir()
+            argv += [flag, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1, argv
+    else:
+        assert code in (0, 1), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.slow
