@@ -153,6 +153,7 @@ class FaultInjectionStats:
     image_delta_bytes_applied: int = 0
     image_dirty_bytes_restored: int = 0
     image_pool_hits: int = 0
+    image_pool_misses: int = 0
     image_full_rebuilds: int = 0
     #: Full persistence-state-machine passes (1 under the incremental
     #: engine; O(failure points) under replay).
@@ -180,6 +181,7 @@ class FaultInjectionStats:
         self.image_delta_bytes_applied += stats.delta_bytes_applied
         self.image_dirty_bytes_restored += stats.dirty_bytes_restored
         self.image_pool_hits += stats.pool_hits
+        self.image_pool_misses += stats.pool_misses
         self.image_full_rebuilds += stats.full_rebuilds
         self.history_passes += stats.history_passes
 
@@ -809,7 +811,9 @@ class FaultInjector:
         drained or complete), and only results of this campaign's plan
         are kept: records beyond it stay in the merged journal, exactly
         as a serial append-mode journal keeps them, but are not campaign
-        results.
+        results.  The campaign is drained when some planned task has no
+        record — as in a serial campaign, a stop that arrives after the
+        last record leaves it complete.
         """
         # Lazy: repro.fabric depends on this package's harness module.
         from repro.fabric import (
@@ -835,14 +839,14 @@ class FaultInjector:
                 pass
         cleanup_shard_artifacts(checkpoint_path)
         planned = {task.index: task for task in tasks}
+        results = [
+            done
+            for done in result.results
+            if done.task.index in planned
+            and same_injection(done.task, planned[done.task.index])
+        ]
         campaign = CampaignResult(
-            results=[
-                done
-                for done in result.results
-                if done.task.index in planned
-                and same_injection(done.task, planned[done.task.index])
-            ],
-            drained=result.drained,
+            results=results, drained=len(results) < len(planned)
         )
         return self._collect(campaign, stats, runs, source)
 

@@ -439,13 +439,14 @@ def _unpack_image(materialised) -> Tuple[Any, Tuple[int, ...]]:
     Image sources may return raw bytes (a prefix image), a
     :class:`~repro.pmem.faultmodel.CrashImage` carrying media-error
     state, or a pooled :class:`~repro.pmem.incremental.MaterialisedImage`
-    — the latter is passed through *unconverted* so the recovered machine
-    can adopt its buffer without copying.
+    (a prefix image or a variant patched onto one, with its own poison
+    set) — the latter is passed through *unconverted* so the recovered
+    machine can adopt its buffer without copying.
     """
     if isinstance(materialised, CrashImage):
         return materialised.data, materialised.poisoned_lines
     if isinstance(materialised, MaterialisedImage):
-        return materialised, ()
+        return materialised, materialised.poisoned_lines
     return bytes(materialised), ()
 
 
@@ -684,10 +685,11 @@ class CampaignImageSource:
     for one:
 
     * ``image_engine="incremental"``: an
-      :class:`~repro.pmem.incremental.IncrementalImageEngine` handing the
-      prefix variant pooled copy-on-write buffers — moving between
-      consecutive failure points costs O(changed bytes), and the
-      recovery oracle adopts the buffer without copying;
+      :class:`~repro.pmem.incremental.IncrementalImageEngine` handing
+      every task a pooled copy-on-write buffer — moving between
+      consecutive failure points costs O(changed bytes), an adversarial
+      variant is patched onto the buffer in place, and the recovery
+      oracle adopts the buffer without copying;
     * ``"replay"``: the same running image, copied whole per failure
       point, with every adversarial variant rebuilt from the trace —
       the differential-testing reference the image-engine tests
@@ -699,7 +701,9 @@ class CampaignImageSource:
     Adversarial variants are materialised from the prefix image at their
     failure point by the run's planner factory (:meth:`factory`), and one
     :class:`~repro.pmem.incremental.ImageEngineStats` counts the planners
-    and every builder.
+    and every builder.  Tasks arrive run by run, so only the current
+    run's prefix builder is kept; a task of an earlier run (a fleet
+    requeue) rebuilds its run's.
     """
 
     def __init__(
@@ -715,7 +719,8 @@ class CampaignImageSource:
         self._runs = {run.sched: run for run in runs}
         self._reexecute = reexecute
         self._factories: Dict[int, AdversarialImageFactory] = {}
-        self._engines: Dict[int, IncrementalImageEngine] = {}
+        #: The current run's schedule id and prefix builder.
+        self._current: Optional[Tuple[int, IncrementalImageEngine]] = None
         #: Pooled buffers must go back to the engine that issued them.
         self._owner: Dict[int, IncrementalImageEngine] = {}
 
@@ -731,30 +736,25 @@ class CampaignImageSource:
         return factory
 
     def _engine(self, sched: int) -> IncrementalImageEngine:
-        engine = self._engines.get(sched)
-        if engine is None:
+        if self._current is None or self._current[0] != sched:
             run = self._runs[sched]
-            engine = self._engines[sched] = IncrementalImageEngine(
-                run.initial_image, run.trace, stats=self.stats
+            self._current = (
+                sched,
+                IncrementalImageEngine(
+                    run.initial_image, run.trace, stats=self.stats
+                ),
             )
-        return engine
+        return self._current[1]
 
     def __call__(self, task: InjectionTask):
         if self._reexecute is not None:
             prefix = self._reexecute(task)
-        else:
+        elif self.image_engine == ENGINE_IMAGE_INCREMENTAL:
             engine = self._engine(task.sched)
-            if (
-                task.variant == VARIANT_PREFIX
-                and self.image_engine == ENGINE_IMAGE_INCREMENTAL
-            ):
-                image = engine.checkout(task.seq)
-                self._owner[id(image)] = engine
-                return image
-            # Adversarial variants derive from the same engine's prefix
-            # image (one advance, shared with the prefix variant at this
-            # failure point).
-            prefix = engine.image_at(task.seq)
+            prefix = engine.checkout(task.seq)
+            self._owner[id(prefix)] = engine
+        else:
+            prefix = self._engine(task.sched).image_at(task.seq)
         if task.variant == VARIANT_PREFIX:
             return prefix
         return self.factory(task.sched).materialise(

@@ -545,13 +545,15 @@ class FleetSupervisor:
 
     def run(self) -> FleetResult:
         self._publish_manifest()
-        drained = False
         with self.telemetry.span(
             "fleet/campaign",
             slices=self.config.slices,
             tasks=len(self.tasks),
         ):
-            drained = self._supervise()
+            self._supervise()
+            # Work left undone, not a stop seen: a stop that lands after
+            # every slice was delivered leaves a complete campaign.
+            drained = bool(self._incomplete_slices())
             try:
                 self._reliable(
                     self.transport.put,
@@ -604,7 +606,7 @@ class FleetSupervisor:
             slices=self.config.slices,
         )
 
-    def _supervise(self) -> bool:
+    def _supervise(self) -> None:
         draining = False
         drain_deadline = None
         last_alive = self._clock()
@@ -646,7 +648,6 @@ class FleetSupervisor:
         self._publish_fin()
         if self.heartbeat is not None:
             self.heartbeat.finish()
-        return draining
 
     def _merge(self) -> Dict[int, dict]:
         records = merge_journals(

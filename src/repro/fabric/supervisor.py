@@ -420,7 +420,6 @@ class ShardSupervisor:
 
     def run(self) -> FabricResult:
         self._shards = self._partition()
-        drained = False
         with self.telemetry.span(
             "fabric/campaign",
             shards=self.config.shards,
@@ -439,17 +438,19 @@ class ShardSupervisor:
                     # Every assigned index already journaled (stray
                     # shard journal from a crashed previous run).
                     shard.done = True
-            drained = self._supervise()
+            self._supervise()
             records = self._merge()
         results = results_from_records(records, self.restored_indices)
         return FabricResult(
             results=results,
             records=records,
-            drained=drained,
+            # Work left undone, not a stop seen: a stop that lands after
+            # every shard journaled its slice leaves a complete campaign.
+            drained=any(task.index not in records for task in self.tasks),
             stats=self.stats,
         )
 
-    def _supervise(self) -> bool:
+    def _supervise(self) -> None:
         draining = False
         drain_deadline = None
         killed = False
@@ -482,7 +483,6 @@ class ShardSupervisor:
         self._pump_events(draining)
         if self.heartbeat is not None:
             self.heartbeat.finish()
-        return draining
 
     def _reap(self, draining: bool, now: float) -> None:
         for shard in self._shards:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.pmem.constants import (
     ATOMIC_WRITE_SIZE,
@@ -50,6 +50,7 @@ from repro.pmem.incremental import (
     ImageEngineStats,
     IncrementalHistoryIndex,
     IncrementalImageEngine,
+    MaterialisedImage,
     validate_image_engine,
 )
 from repro.pmem.machine import VOLATILE_BASE
@@ -353,13 +354,24 @@ class AdversarialImageFactory:
         self,
         fail_seq: int,
         variant: str,
-        prefix_image: Optional[bytes] = None,
-    ) -> CrashImage:
+        prefix_image: Union[bytes, MaterialisedImage, None] = None,
+    ) -> Union[CrashImage, MaterialisedImage]:
         """Build the crash image for one variant id at ``fail_seq``.
 
-        ``prefix_image`` (the graceful image at the same failure point)
-        is an optimisation input for families derived from it; it is
-        recomputed when omitted.
+        ``prefix_image`` is the graceful image at the same failure point.
+        Torn, reorder and media variants are patches on it, each family
+        derived once (:meth:`_patch_torn`, :meth:`_patch_reorder`,
+        :meth:`_patch_media`):
+
+        * a pooled :class:`~repro.pmem.incremental.MaterialisedImage` is
+          patched in place and returned — the campaign's hot path, with
+          no copy; the patched ranges and poison set ride on it, and the
+          engine's next ``checkout`` reverts them;
+        * bytes (or ``None``: the prefix is then recomputed) are copied
+          once, patched, and returned as a :class:`CrashImage`.
+
+        The replay reference (``image_engine="replay"``) rebuilds torn
+        and reorder images from the trace instead.
         """
         family = variant_family(variant)
         if family == FAMILY_PREFIX:
@@ -377,16 +389,33 @@ class AdversarialImageFactory:
             raise ValueError(f"malformed variant id {variant!r}")
         rng = derive_rng(self.config.seed, fail_seq, family, index)
         if family == FAMILY_TORN:
-            return self._materialise_torn(
-                fail_seq, variant, index, rng, prefix_image
-            )
-        if family == FAMILY_REORDER:
-            return self._materialise_reorder(fail_seq, variant, rng)
-        if family == FAMILY_MEDIA:
-            return self._materialise_media(
-                fail_seq, variant, rng, prefix_image
-            )
-        raise ValueError(f"unknown fault-model family {family!r}")
+            patch = self._patch_torn
+            if not self._incremental:
+                return self._materialise_torn(fail_seq, variant, index, rng)
+        elif family == FAMILY_REORDER:
+            patch = self._patch_reorder
+            if not self._incremental:
+                return self._materialise_reorder(fail_seq, variant, rng)
+        elif family == FAMILY_MEDIA:
+            patch = self._patch_media
+        else:
+            raise ValueError(f"unknown fault-model family {family!r}")
+        if isinstance(prefix_image, MaterialisedImage):
+            patch(prefix_image, fail_seq, index, rng)
+            return prefix_image
+        image = MaterialisedImage(
+            bytearray(
+                prefix_image if prefix_image is not None
+                else self._prefix(fail_seq)
+            ),
+            fail_seq,
+        )
+        patch(image, fail_seq, index, rng)
+        return CrashImage(
+            bytes(image.pm_buffer),
+            poisoned_lines=image.poisoned_lines,
+            variant=variant,
+        )
 
     def _prefix(self, fail_seq: int) -> bytes:
         if self._incremental:
@@ -408,31 +437,39 @@ class AdversarialImageFactory:
 
     # -- torn writes --------------------------------------------------- #
 
+    def _tear(
+        self, fail_seq: int, index: int, rng: random.Random
+    ) -> Optional[Tuple[MemoryEvent, List[Tuple[int, int]], int]]:
+        """The torn variant's victim store, its atomic units, and the
+        mask of units that persisted; ``None`` when nothing can tear."""
+        candidates = self._torn_candidates(fail_seq)
+        if not candidates:
+            # Planned against a different analysis?  Degenerate safely.
+            return None
+        victim = candidates[index % len(candidates)]
+        units = _atomic_units(victim.address, len(victim.data))
+        if len(units) < 2:  # pragma: no cover - candidates are multi-unit
+            return None
+        # A proper, non-empty subset of units persisted: the tear.
+        mask = rng.getrandbits(len(units))
+        full = (1 << len(units)) - 1
+        while mask == 0 or mask == full:
+            mask = rng.getrandbits(len(units))
+        return victim, units, mask
+
     def _materialise_torn(
         self,
         fail_seq: int,
         variant: str,
         index: int,
         rng: random.Random,
-        prefix_image: Optional[bytes] = None,
     ) -> CrashImage:
-        candidates = self._torn_candidates(fail_seq)
-        if not candidates:
-            # Planned against a different analysis?  Degenerate safely.
+        """The replay reference: re-apply the trace, skipping the
+        victim's unpersisted units."""
+        tear = self._tear(fail_seq, index, rng)
+        if tear is None:
             return CrashImage(self._prefix(fail_seq), variant=variant)
-        victim = candidates[index % len(candidates)]
-        units = _atomic_units(victim.address, len(victim.data))
-        if len(units) < 2:  # pragma: no cover - candidates are multi-unit
-            return CrashImage(self._prefix(fail_seq), variant=variant)
-        # A proper, non-empty subset of units persisted: the tear.
-        mask = rng.getrandbits(len(units))
-        full = (1 << len(units)) - 1
-        while mask == 0 or mask == full:
-            mask = rng.getrandbits(len(units))
-        if self._incremental:
-            return self._torn_from_prefix(
-                fail_seq, variant, victim, units, mask, prefix_image
-            )
+        victim, units, mask = tear
         image = bytearray(self._initial)
         for event in self._trace:
             if event.seq >= fail_seq:
@@ -449,16 +486,14 @@ class AdversarialImageFactory:
             apply_write(image, event)
         return CrashImage(bytes(image), variant=variant)
 
-    def _torn_from_prefix(
+    def _patch_torn(
         self,
+        image: MaterialisedImage,
         fail_seq: int,
-        variant: str,
-        victim: MemoryEvent,
-        units: List[Tuple[int, int]],
-        mask: int,
-        prefix_image: Optional[bytes] = None,
-    ) -> CrashImage:
-        """Derive a torn image from the incremental prefix image.
+        index: int,
+        rng: random.Random,
+    ) -> None:
+        """Tear the victim store on a buffer holding the prefix image.
 
         Equivalence to the replay loop (which skips the victim's
         unmasked units while re-applying the whole trace): every byte
@@ -471,16 +506,18 @@ class AdversarialImageFactory:
         8-byte unit never crosses a cache-line boundary, so one line
         record covers each unit.
         """
-        image = bytearray(
-            prefix_image if prefix_image is not None
-            else self._prefix(fail_seq)
-        )
+        tear = self._tear(fail_seq, index, rng)
+        if tear is None:
+            return
+        victim, units, mask = tear
+        buffer = image.pm_buffer
         hist = self._hist_index()
         initial = self._initial
         for bit, (lo, hi) in enumerate(units):
             if mask & (1 << bit):
                 continue
-            image[lo:hi] = initial[lo:hi]
+            image.patched(lo, hi - lo)
+            buffer[lo:hi] = initial[lo:hi]
             base = lo & ~(CACHE_LINE_SIZE - 1)
             view = hist.line_at(base, fail_seq)
             if view is None:  # pragma: no cover - victim store is recorded
@@ -493,68 +530,92 @@ class AdversarialImageFactory:
                 a = max(s_lo, lo)
                 b = min(s_hi, hi)
                 if a < b:
-                    image[a:b] = data[a - s_lo:b - s_lo]
-        return CrashImage(bytes(image), variant=variant)
+                    buffer[a:b] = data[a - s_lo:b - s_lo]
 
     # -- dirty-line reordering sampling -------------------------------- #
+
+    @staticmethod
+    def _sample_cuts(lines, rng: random.Random) -> List[Tuple]:
+        """Draw one candidate cut per line: ``(line, cut seq, latest)``.
+
+        ``latest`` marks a line left at its newest cut, where it holds
+        the prefix image's bytes.
+        """
+        cuts = [line.candidate_cut_seqs() for line in lines]
+        choices = [rng.randrange(len(line_cuts)) for line_cuts in cuts]
+        movable = [
+            i for i, line_cuts in enumerate(cuts) if len(line_cuts) > 1
+        ]
+        if movable and all(
+            choice == len(line_cuts) - 1
+            for choice, line_cuts in zip(choices, cuts)
+        ):
+            # All-latest is (up to NT-store detail) the prefix image;
+            # hold one movable line back at its mandatory frontier so the
+            # sample genuinely reorders.
+            choices[movable[rng.randrange(len(movable))]] = 0
+        return [
+            (line, line_cuts[choice], choice == len(line_cuts) - 1)
+            for line, line_cuts, choice in zip(lines, cuts, choices)
+        ]
 
     def _materialise_reorder(
         self, fail_seq: int, variant: str, rng: random.Random
     ) -> CrashImage:
+        """The replay reference: render every line from the initial
+        image."""
+        # Rendering needs per-line store data, not just the memoised
+        # cut lists, so the histories are recomputed here.
+        histories = build_line_histories(self._trace, fail_seq)
+        if self.stats is not None:
+            self.stats.history_passes += 1
+        lines = sorted(histories.values(), key=lambda h: h.base)
         image = bytearray(self._initial)
-        if self._incremental:
-            # The shared index serves render-ready per-line views; no
-            # per-variant persistence-state-machine replay.
-            lines = self._hist_index().lines_at(fail_seq)
-        else:
-            # Rendering needs per-line store data, not just the memoised
-            # cut lists, so the histories are recomputed here.
-            histories = build_line_histories(self._trace, fail_seq)
-            if self.stats is not None:
-                self.stats.history_passes += 1
-            lines = sorted(histories.values(), key=lambda h: h.base)
-        choices: List[int] = []
-        any_movable = False
-        for line in lines:
-            cuts = line.candidate_cut_seqs()
-            choice = rng.randrange(len(cuts))
-            choices.append(choice)
-            if len(cuts) > 1:
-                any_movable = True
-        latest = all(
-            choice == len(line.candidate_cut_seqs()) - 1
-            for choice, line in zip(choices, lines)
-        )
-        if latest and any_movable:
-            # All-latest is (up to NT-store detail) the prefix image;
-            # hold one movable line back at its mandatory frontier so the
-            # sample genuinely reorders.
-            movable = [
-                i
-                for i, line in enumerate(lines)
-                if len(line.candidate_cut_seqs()) > 1
-            ]
-            choices[movable[rng.randrange(len(movable))]] = 0
-        for line, choice in zip(lines, choices):
-            line.render(image, line.candidate_cut_seqs()[choice])
+        for line, cut, _ in self._sample_cuts(lines, rng):
+            line.render(image, cut)
         return CrashImage(bytes(image), variant=variant)
+
+    def _patch_reorder(
+        self,
+        image: MaterialisedImage,
+        fail_seq: int,
+        index: int,
+        rng: random.Random,
+    ) -> None:
+        """Render the sampled cuts on a buffer holding the prefix image.
+
+        A line at its latest cut already holds the prefix bytes; every
+        other line is reset to its initial bytes and rendered to its cut
+        (the shared index serves render-ready per-line views).
+        """
+        buffer = image.pm_buffer
+        initial = self._initial
+        size = len(buffer)
+        lines = self._hist_index().lines_at(fail_seq)
+        for line, cut, latest in self._sample_cuts(lines, rng):
+            if latest:
+                continue
+            base = line.base
+            end = min(base + CACHE_LINE_SIZE, size)
+            image.patched(base, end - base)
+            buffer[base:end] = initial[base:end]
+            line.render(buffer, cut)
 
     # -- media errors --------------------------------------------------- #
 
-    def _materialise_media(
+    def _patch_media(
         self,
+        image: MaterialisedImage,
         fail_seq: int,
-        variant: str,
+        index: int,
         rng: random.Random,
-        prefix_image: Optional[bytes],
-    ) -> CrashImage:
-        base_image = (
-            prefix_image if prefix_image is not None else self._prefix(fail_seq)
-        )
-        image = bytearray(base_image)
+    ) -> None:
+        """Poison lines and flip bits on a buffer holding the prefix
+        image (both engines: the media model is a patch by nature)."""
         written = list(self._written_lines(fail_seq))
         if not written:
-            return CrashImage(bytes(image), variant=variant)
+            return
+        buffer = image.pm_buffer
         poisoned: List[int] = []
         n_poison = min(self.config.media_poisoned_lines, len(written))
         if n_poison > 0:
@@ -567,8 +628,7 @@ class AdversarialImageFactory:
             offset = rng.randrange(CACHE_LINE_SIZE)
             bit = rng.randrange(8)
             address = base + offset
-            if address < len(image):
-                image[address] ^= 1 << bit
-        return CrashImage(
-            bytes(image), poisoned_lines=tuple(poisoned), variant=variant
-        )
+            if address < len(buffer):
+                image.patched(address, 1)
+                buffer[address] ^= 1 << bit
+        image.poisoned_lines = tuple(poisoned)

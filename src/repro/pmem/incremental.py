@@ -21,11 +21,12 @@ reference (``--image-engine replay``).  Three pieces:
   cycle — recovery runs against pooled copy-on-write buffers.  The
   recovered machine adopts the pooled buffer *without copying*
   (:meth:`~repro.pmem.machine.PMachine.from_image` duck-types on
-  :attr:`MaterialisedImage.pm_buffer`) and logs every medium write; on
-  the next checkout only the recovery-dirtied ranges are restored from
-  the pristine running image and the inter-failure-point deltas
-  re-applied.  A full ``bytearray`` copy happens once per pooled buffer,
-  not once per injection.
+  :attr:`MaterialisedImage.pm_buffer`) and logs every medium write.
+  Torn, reorder and media variants are patches on the same buffer; on
+  the next checkout only the patched and recovery-dirtied ranges are
+  restored from the pristine running image and the inter-failure-point
+  deltas re-applied.  A full ``bytearray`` copy happens once per pooled
+  buffer, not once per injection or variant.
 * :class:`IncrementalHistoryIndex` — one O(T) pass computing, per cache
   line, the full store history and the mandatory-durability step
   function, so torn/reorder/media fault-model variants all consume the
@@ -194,15 +195,32 @@ class MaterialisedImage:
     ``version`` is the failure-point seq whose prefix image the buffer
     held when checked out; together with the write log it is the
     copy-on-write bookkeeping the engine reconciles on reuse.
+
+    An adversarial variant is a *patch* on the checked-out prefix image
+    (:meth:`repro.pmem.faultmodel.AdversarialImageFactory.materialise`):
+    the factory records every range it rewrites through :meth:`patched`
+    and sets :attr:`poisoned_lines` for a media variant, and the next
+    checkout reverts the patch together with the recovery writes.
     """
 
-    __slots__ = ("pm_buffer", "version", "abandoned", "_write_log")
+    __slots__ = ("pm_buffer", "version", "abandoned", "poisoned_lines",
+                 "_write_log", "_patches")
 
     def __init__(self, buffer: bytearray, version: int):
         self.pm_buffer = buffer
         self.version = version
         self.abandoned = False
+        #: Poisoned cache-line bases of the media variant patched on.
+        self.poisoned_lines: Tuple[int, ...] = ()
         self._write_log: Optional[List[Tuple[int, int]]] = None
+        self._patches: List[Tuple[int, int]] = []
+
+    # -- factory-side protocol ----------------------------------------- #
+
+    def patched(self, address: int, length: int) -> None:
+        """Record that a variant patch rewrites ``[address,
+        address+length)`` of the prefix image."""
+        self._patches.append((address, length))
 
     # -- oracle-side protocol ------------------------------------------ #
 
@@ -219,13 +237,20 @@ class MaterialisedImage:
     # -- pool-side protocol -------------------------------------------- #
 
     def consume_dirty(self) -> List[Tuple[int, int]]:
-        ranges = self._write_log or []
+        """Every range that differs from the prefix image at
+        :attr:`version`: the variant patch plus the recovery writes."""
+        ranges = self._patches + (self._write_log or [])
         self._write_log = None
+        self._patches = []
         return ranges
 
     def reset(self, version: int) -> None:
+        # The next task may be a prefix one: it must not inherit this
+        # variant's poison set (a wrong digest and verdict).
         self.version = version
+        self.poisoned_lines = ()
         self._write_log = None
+        self._patches = []
 
     # -- bytes-like conveniences --------------------------------------- #
 
@@ -301,9 +326,10 @@ class IncrementalImageEngine:
     def checkout(self, fail_seq: int) -> MaterialisedImage:
         """A mutable buffer holding the prefix image at ``fail_seq``.
 
-        The oracle may freely mutate it (through an adopting medium);
-        hand it back via :meth:`release` so the pool can reconcile and
-        reuse it for the next failure point in O(changed bytes).
+        The fault-model factory may patch it into a variant and the
+        oracle may freely mutate it (through an adopting medium); hand
+        it back via :meth:`release` so the pool can reconcile and reuse
+        it for the next failure point in O(changed bytes).
         """
         self.advance(fail_seq)
         self.stats.images += 1

@@ -132,7 +132,9 @@ def detect_schedules(
 
     Returns the per-sample runs plus sample 0's execution artifacts (the
     pipeline reads pool metadata and the app name from them, exactly as
-    it does from the single-threaded detection run).
+    it does from the single-threaded detection run).  Samples whose
+    initial image equals sample 0's share its object, so hundreds of
+    samples hold one copy.
     """
     runs: List[ScheduleRun] = []
     first: Optional[ScheduleArtifacts] = None
@@ -148,6 +150,8 @@ def detect_schedules(
             step_limit,
             deadline,
         )
+        if runs and run.initial_image == runs[0].initial_image:
+            run.initial_image = runs[0].initial_image
         runs.append(run)
         if first is None:
             first = artifacts

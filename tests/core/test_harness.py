@@ -6,6 +6,7 @@ interrupted-equals-uninterrupted property).
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -38,8 +39,11 @@ from repro.core.oracle import (
 from repro.errors import CheckpointError, WatchdogTimeout
 from repro.instrument.runner import run_instrumented
 from repro.instrument.tracer import MinimalTracer
+from repro.pmem.crashsim import prefix_image
+from repro.pmem.faultmodel import FaultModelConfig
+from repro.pmem.incremental import ENGINE_IMAGE_INCREMENTAL, MaterialisedImage
 from repro.workloads import generate_workload
-from tests.core.monkey import CrashMonkey, make_tool_code_raiser
+from tests.core.monkey import SLOT_A, CrashMonkey, make_tool_code_raiser
 
 # --------------------------------------------------------------------- #
 # fixtures
@@ -69,6 +73,39 @@ def monkey_tasks(trace):
 
 def records(campaign):
     return [result_to_record(r) for r in campaign.results]
+
+
+class RecordingSource:
+    """An image source that remembers every image it hands out."""
+
+    def __init__(self, source):
+        self.source = source
+        self.images = []
+
+    def __call__(self, task):
+        image = self.source(task)
+        self.images.append(image)
+        return image
+
+    def release(self, image):
+        self.source.release(image)
+
+
+class ZombieMonkey(CrashMonkey):
+    """Recovery blocks past the watchdog's grace period, then writes to
+    its medium once ``gate`` opens (the abandoned thread's last act)."""
+
+    def __init__(self, gate, scribbled):
+        super().__init__("ok")
+        self.gate = gate
+        self.scribbled = scribbled
+
+    def recover(self, machine):
+        try:
+            self.gate.wait(10.0)
+        finally:
+            machine.medium.write(SLOT_A, b"\xff")
+            self.scribbled.set()
 
 
 # --------------------------------------------------------------------- #
@@ -145,6 +182,41 @@ class TestWatchdoggedOracle:
             lambda: CrashMonkey("ok"), final, step_budget=10
         )
         assert outcome.status is RecoveryStatus.OK
+
+    def test_hung_recovery_abandons_its_pooled_variant(self, monkey_run):
+        """A media variant is patched onto a pooled buffer; a recovery
+        that outlives the watchdog's grace must leak that buffer, not
+        return it to the pool, and the next task's image is exact even
+        after the zombie writes to the leaked one."""
+        initial, trace, _ = monkey_run
+        source = RecordingSource(
+            CampaignImageSource(
+                [DetectionRun(-1, trace, initial_image=initial)],
+                fault_model=FaultModelConfig(media_errors=True),
+                image_engine=ENGINE_IMAGE_INCREMENTAL,
+            )
+        )
+        seq = trace[-1].seq + 1
+        variant = source.source.factory(-1).plan(seq)[0]
+        gate, scribbled = threading.Event(), threading.Event()
+        result = execute_injection(
+            InjectionTask(index=0, stack=("fp",), seq=seq, variant=variant),
+            source,
+            lambda: ZombieMonkey(gate, scribbled),
+            HarnessConfig(timeout_seconds=0.1),
+        )
+        assert result.outcome.status is RecoveryStatus.HUNG
+        (hung,) = source.images
+        assert isinstance(hung, MaterialisedImage)
+        assert hung.abandoned and hung.poisoned_lines
+        gate.set()
+        assert scribbled.wait(10.0)
+
+        fresh = source(InjectionTask(index=1, stack=("fp",), seq=seq))
+        assert fresh.pm_buffer is not hung.pm_buffer
+        assert bytes(fresh) == prefix_image(initial, trace, seq)
+        assert fresh.poisoned_lines == ()
+        assert source.source.stats.pool_misses == 2
 
 
 class TestInfraClassification:

@@ -162,6 +162,20 @@ class TestHotPathAccounting:
         # incremental engine copies it once per pooled buffer.
         assert r.image_bytes_copied >= 10 * i.image_bytes_copied
 
+    def test_variants_are_patches_not_copies(self):
+        """Every task — prefix or adversarial — checks out a pooled
+        buffer and every variant is patched onto it in place: the only
+        full-pool copies are pool misses."""
+        model = FaultModelConfig(model="adversarial", samples=2, seed=11)
+        stats = run(model).fault_injection.stats
+        assert stats.adversarial_injections > 0
+        assert stats.images_materialised == stats.injections
+        assert stats.image_pool_misses >= 1
+        assert (
+            stats.image_bytes_copied
+            == stats.image_pool_misses * factory().pool_size
+        )
+
     def test_history_passes_are_constant_not_per_point(self):
         """Incremental: one shared pass per *campaign* — the planner's
         factory builds it and materialises every variant from it —

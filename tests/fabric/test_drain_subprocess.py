@@ -40,6 +40,39 @@ def _run_cli(args, **popen_kwargs):
     )
 
 
+#: ``mumak analyze`` whose stop lands after the last record: each shard
+#: worker journals its whole slice, and the last one to finish SIGTERMs
+#: the parent, then stays alive until the supervisor's drain broadcast
+#: reaches it.  argv: the marker directory, then the analyze arguments.
+LATE_STOP = """
+import os, signal, sys
+from repro.cli import main
+from repro.core.fault_injection import FaultInjector
+
+run_slice = FaultInjector.run_slice
+marks = sys.argv[1]
+
+def run_slice_then_stop(self, *args, stop, **kwargs):
+    done = run_slice(self, *args, stop=stop, **kwargs)
+    open(os.path.join(marks, "done.%d" % os.getpid()), "w").close()
+    finished = [name for name in os.listdir(marks) if name.startswith("done.")]
+    if len(finished) == 2:
+        try:
+            os.close(os.open(
+                os.path.join(marks, "signalled"), os.O_CREAT | os.O_EXCL
+            ))
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getppid(), signal.SIGTERM)
+    stop.wait(60)
+    return done
+
+FaultInjector.run_slice = run_slice_then_stop
+sys.exit(main(["analyze", *sys.argv[2:]]))
+"""
+
+
 def _wait_for_progress(path, timeout=60.0):
     """Block until the checkpoint journal holds at least one record."""
     deadline = time.monotonic() + timeout
@@ -93,6 +126,35 @@ class TestSigtermDrain:
             assert proc.returncode in (0, 1), err
 
         assert open(ckpt, "rb").read() == reference
+
+    def test_stop_after_the_last_record_is_not_a_drain(self, tmp_path):
+        """A SIGTERM that lands after both shards journaled their slices
+        leaves nothing undone: the campaign completes (exit 0, no drain
+        notice) with the serial journal's bytes."""
+        analyze = ["btree", "--ops", "20", "--bugs", "none", "--seed", "1"]
+        ref = str(tmp_path / "ref.jsonl")
+        proc = _run_cli(analyze + ["--checkpoint", ref])
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        ckpt = str(tmp_path / "ck.jsonl")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", LATE_STOP, str(marks), *analyze,
+             "--checkpoint", ckpt, "--shards", "2"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        _, err = proc.communicate(timeout=300)
+        assert "SIGTERM: draining" in err  # the stop did arrive
+        assert proc.returncode == 0, err
+        assert "campaign drained" not in err
+        assert open(ckpt, "rb").read() == open(ref, "rb").read()
 
 
 @pytest.mark.slow

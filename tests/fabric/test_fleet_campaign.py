@@ -21,6 +21,8 @@ from repro.core.harness import JOURNAL_VERSION, campaign_fingerprint
 from repro.errors import FleetError
 from repro.fabric import find_shard_journals
 from repro.fabric.fleet import (
+    COMPLETE_NAME,
+    DRAIN_NAME,
     FleetConfig,
     FleetSupervisor,
     build_manifest,
@@ -279,3 +281,40 @@ class TestLeaseExpiryRace:
             if json.loads(line).get("type") == "injection"
         ]
         assert indices == sorted(indices) and len(set(indices)) == 8
+
+
+class TestLateStop:
+    def test_stop_after_every_delivery_completes(self, tmp_path):
+        """Every slice was delivered before the stop arrived: nothing is
+        left undone, so the campaign is complete and the finish marker
+        says so (workers stop on it instead of waiting for a resume)."""
+        fleet = str(tmp_path / "fleet")
+        transport = DirTransport(fleet)
+        transport.put("journal/0.t1", _slice_journal([0, 2, 4, 6]))
+        transport.put("journal/1.t1", _slice_journal([1, 3, 5, 7]))
+        stop = threading.Event()
+        stop.set()
+
+        def never_run_locally(slice_id, tasks, journal_path, stop):
+            raise AssertionError("local fallback must not trigger")
+
+        supervisor = FleetSupervisor(
+            tasks=[types.SimpleNamespace(index=i) for i in range(8)],
+            checkpoint_path=str(tmp_path / "ckpt.jsonl"),
+            fingerprint=FP,
+            fingerprint_payload=PAYLOAD,
+            seed=0,
+            config=FleetConfig(
+                root=fleet, slices=2, tick_seconds=0.01,
+                patience_seconds=60.0,
+            ),
+            spec={"target": "synthetic"},
+            local_runner=never_run_locally,
+            stop=stop,
+        )
+        result = supervisor.run()
+        assert set(result.records) == set(range(8))
+        assert result.drained is False
+        assert transport.get(COMPLETE_NAME) == b"done"
+        # The stop itself was seen and broadcast to the workers.
+        assert transport.get(DRAIN_NAME) == b"drain"

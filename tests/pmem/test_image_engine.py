@@ -13,8 +13,10 @@ reference in ``repro.pmem.crashsim`` —
   variants (data, poison sets, ids) under ``--image-engine incremental``
   and ``--image-engine replay``, for the torn, reorder, and media
   families, under the same ``--fault-seed``;
-* the checkout/release snapshot pool reconciles recovery-dirtied pooled
-  buffers back to the exact prefix image (copy-on-write bookkeeping).
+* a variant patched onto a pooled prefix buffer equals the replay
+  reference's, and the checkout/release snapshot pool reconciles
+  patched and recovery-dirtied buffers back to the exact prefix image
+  (copy-on-write bookkeeping).
 
 Traces are randomized (hypothesis drives the generator seeds and explicit
 op scripts) so the equivalence is exercised across overlapping stores,
@@ -351,7 +353,18 @@ def paired_factories(config, initial, trace):
 
 class TestFactoryEquivalence:
     def assert_factories_agree(self, config, initial, trace):
+        """Replay ≡ incremental ≡ the campaign's pooled path: checkout
+        the prefix buffer, patch the variant onto it in place, release.
+
+        Pooled buffers go back two ways, alternately: after a recovery
+        wrote through an adopting medium, and untouched (a verdict-cache
+        hit).  Either way the next checkout is the exact prefix image
+        and carries no poison.
+        """
         replay, incremental = paired_factories(config, initial, trace)
+        engine = IncrementalImageEngine(initial, trace, pool_size=1)
+        rng = random.Random(len(trace))
+        recovered = False
         for fs in fail_seqs(trace):
             plan_r = replay.plan(fs)
             plan_i = incremental.plan(fs)
@@ -364,6 +377,33 @@ class TestFactoryEquivalence:
                 assert img_r.data == img_i.data, (
                     f"{variant} image diverges at seq {fs}"
                 )
+                pooled = engine.checkout(fs)
+                assert bytes(pooled) == prefix_image(initial, trace, fs), (
+                    f"checkout before {variant} diverges at seq {fs}"
+                )
+                assert pooled.poisoned_lines == ()
+                if variant != "prefix":
+                    patched = incremental.materialise(
+                        fs, variant, prefix_image=pooled
+                    )
+                    assert patched is pooled
+                assert pooled.poisoned_lines == img_r.poisoned_lines
+                assert bytes(pooled) == img_r.data, (
+                    f"pooled {variant} image diverges at seq {fs}"
+                )
+                recovered = not recovered
+                if recovered:
+                    machine = PMachine.from_image(
+                        pooled, poisoned_lines=pooled.poisoned_lines
+                    )
+                    for _ in range(rng.randrange(1, 4)):
+                        address = rng.randrange(0, SIZE - 16)
+                        machine.medium.write(
+                            address,
+                            bytes(rng.randrange(256) for _ in range(16)),
+                        )
+                engine.release(pooled)
+        assert engine.stats.pool_misses == 1
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 10_000))

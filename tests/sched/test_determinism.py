@@ -7,14 +7,21 @@ guarantees:
   checkpoint journals and produce identical findings;
 * the campaign fingerprint binds the schedule spec, so a checkpoint
   written under one schedule seed is *refused* (``CheckpointError``) —
-  never silently misread — when resumed under another.
+  never silently misread — when resumed under another;
+* memory does not grow with the sample count: one prefix engine is
+  alive at a time, and the samples share one initial image.
 """
+
+import gc
+import weakref
 
 import pytest
 
 from repro.apps import THREADED_APPLICATIONS
 from repro.core import Mumak, MumakConfig
 from repro.errors import CheckpointError
+from repro.pmem.incremental import IncrementalImageEngine
+from repro.sched.campaign import detect_schedules
 from repro.sched.config import SchedConfig
 from repro.workloads import generate_workload
 
@@ -101,3 +108,41 @@ class TestScheduleBoundResume:
         resumed = run(resume_from=path)
         assert resumed.fault_injection.stats.resumed > 0
         assert fingerprintable(resumed) == fingerprintable(first)
+
+
+class TestSampleMemory:
+    def test_one_engine_alive_at_a_time(self, monkeypatch):
+        """Tasks arrive run by run, so the image source keeps only the
+        current sample's prefix engine."""
+        live = weakref.WeakSet()
+        alive = []
+        init = IncrementalImageEngine.__init__
+        checkout = IncrementalImageEngine.checkout
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            live.add(self)
+
+        def tracked_checkout(self, fail_seq):
+            if len(live) > 1:
+                gc.collect()
+            alive.append(len(live))
+            return checkout(self, fail_seq)
+
+        monkeypatch.setattr(IncrementalImageEngine, "__init__", tracked_init)
+        monkeypatch.setattr(
+            IncrementalImageEngine, "checkout", tracked_checkout
+        )
+        result = run()
+        assert result.fault_injection.stats.schedules == SCHED.samples
+        assert alive and max(alive) == 1
+
+    def test_samples_share_one_initial_image(self):
+        runs, _ = detect_schedules(
+            THREADED_APPLICATIONS[TARGET],
+            generate_workload(N_OPS, seed=SEED),
+            SCHED,
+            seed=SEED,
+        )
+        assert len(runs) == SCHED.samples
+        assert len({id(run.initial_image) for run in runs}) == 1
