@@ -38,6 +38,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import jsonlog
 from repro.core.oracle import (
     RecoveryOutcome,
     RecoveryStatus,
@@ -70,6 +71,8 @@ TRANSIENT_ERRORS = (MemoryError, OSError)
 
 #: Checkpoint journal format version.
 JOURNAL_VERSION = 1
+#: The journal header keys that identify a campaign's checkpoint.
+JOURNAL_IDENTITY = ("version", "fingerprint")
 
 
 class TornJournalWarning(UserWarning):
@@ -906,6 +909,44 @@ def result_from_record(record: dict) -> InjectionResult:
     )
 
 
+def journal_header(fingerprint: Optional[str], seed: int = 0) -> dict:
+    """The first line of a checkpoint journal."""
+    return {
+        "type": "header",
+        "version": JOURNAL_VERSION,
+        "fingerprint": fingerprint,
+        "seed": seed,
+    }
+
+
+def journal_mismatch(
+    header: Optional[dict], fingerprint: Optional[str]
+) -> str:
+    """How the journal headed ``header`` differs from campaign
+    ``fingerprint``'s (:data:`JOURNAL_IDENTITY`); empty when it does not,
+    or has no header (an empty or torn log).  A None ``fingerprint``
+    checks the version alone."""
+    if header is None:
+        return ""
+    identity = JOURNAL_IDENTITY if fingerprint is not None else ("version",)
+    return jsonlog.mismatch(header, journal_header(fingerprint), identity)
+
+
+def fold_injections(records, into: Dict[int, dict]) -> Tuple[int, int]:
+    """Fold journal ``records`` into ``into`` by injection index, first
+    writer wins: a duplicate is a deterministic re-execution, identical
+    to the record it repeats.  Returns ``(folded, duplicates)``."""
+    folded = duplicates = 0
+    for record in records:
+        if record.get("type") != "injection" or "i" not in record:
+            continue
+        if into.setdefault(record["i"], record) is record:
+            folded += 1
+        else:
+            duplicates += 1
+    return folded, duplicates
+
+
 class CampaignJournal:
     """JSON-lines checkpoint writer with periodic durability.
 
@@ -913,8 +954,8 @@ class CampaignJournal:
     one line per completed injection.  Records are buffered and flushed +
     fsynced every ``interval`` injections so an interrupted campaign
     loses at most K results.  Opening an existing journal for the same
-    campaign appends; a fingerprint mismatch raises
-    :class:`~repro.errors.CheckpointError`.
+    campaign appends after truncating a torn tail; another campaign's
+    journal raises :class:`~repro.errors.CheckpointError`.
     """
 
     def __init__(
@@ -928,56 +969,26 @@ class CampaignJournal:
         self.fingerprint = fingerprint
         self.interval = max(1, interval)
         self._since_flush = 0
-        self.bytes_written = 0
-        existing_header = None
-        if os.path.exists(path) and os.path.getsize(path) > 0:
-            existing_header, _, clean_bytes, torn = scan_journal(path)
-            if torn:
-                # A killed writer left a half-written trailing line.
-                # Appending after it would concatenate the next record
-                # onto the fragment, corrupting the journal mid-file —
-                # truncate back to the clean prefix instead (the torn
-                # injection simply re-runs).  Deduplicated with the
-                # read-side warning: one tear, one warning per process.
-                if _note_torn(path):
-                    warnings.warn(
-                        f"checkpoint {path!r} ends in a torn line; "
-                        f"truncating to its last {clean_bytes} clean "
-                        "bytes before appending",
-                        TornJournalWarning,
-                        stacklevel=2,
-                    )
-                with open(path, "r+b") as repair:
-                    repair.truncate(clean_bytes)
-                    repair.flush()
-                    os.fsync(repair.fileno())
-        if existing_header is not None:
-            if existing_header.get("fingerprint") != fingerprint:
-                raise CheckpointError(
-                    f"checkpoint {path!r} belongs to campaign "
-                    f"{existing_header.get('fingerprint')!r}, not "
-                    f"{fingerprint!r}; refusing to append"
-                )
-            self._fh = open(path, "a", encoding="utf-8")
-        else:
-            self._fh = open(path, "w", encoding="utf-8")
-            self._write_line(
-                {
-                    "type": "header",
-                    "version": JOURNAL_VERSION,
-                    "fingerprint": fingerprint,
-                    "seed": seed,
-                }
+        try:
+            self._fh, _, self.bytes_written = jsonlog.append(
+                path,
+                journal_header(fingerprint, seed),
+                JOURNAL_IDENTITY,
+                on_torn=lambda clean: _warn_repair(path, clean),
             )
+        except jsonlog.CorruptLog as err:
+            raise _corrupt(path, err)
+        except jsonlog.ForeignLog as err:
+            raise CheckpointError(
+                f"checkpoint {path!r} {err}; refusing to append"
+            )
+        if self.bytes_written:
             self.flush()
 
-    def _write_line(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._fh.write(line + "\n")
-        self.bytes_written += len(line) + 1
-
     def record(self, result: InjectionResult) -> None:
-        self._write_line(result_to_record(result))
+        line = jsonlog.dumps(result_to_record(result))
+        self._fh.write(line)
+        self.bytes_written += len(line)
         self._since_flush += 1
         if self._since_flush >= self.interval:
             self.flush()
@@ -1002,55 +1013,37 @@ class CampaignJournal:
         self.close()
 
 
+def _corrupt(path: str, err: jsonlog.CorruptLog) -> CheckpointError:
+    return CheckpointError(f"corrupt checkpoint {path!r} at line {err.line}")
+
+
+def _warn_repair(path: str, clean: int) -> None:
+    """The append repair's torn-tail warning, deduplicated with the
+    read-side one: one tear, one warning per process."""
+    if _note_torn(path):
+        warnings.warn(
+            f"checkpoint {path!r} ends in a torn line; truncating to its "
+            f"last {clean} clean bytes before appending",
+            TornJournalWarning,
+            stacklevel=5,
+        )
+
+
 def scan_journal(path: str):
     """Parse a checkpoint journal, tracking the clean byte prefix.
 
     Returns ``(header, records, clean_bytes, torn)``: ``clean_bytes`` is
     the length of the longest prefix of the file made of complete,
     parseable lines, and ``torn`` is True when a half-written trailing
-    line (crash or kill mid-write) follows it.  The torn tail is
-    *skipped*, never fatal — corruption anywhere before the last line
-    still raises :class:`~repro.errors.CheckpointError`.
+    line (crash or kill mid-write, or a final line whose newline never
+    landed) follows it.  The torn tail is *skipped*, never fatal —
+    corruption anywhere before it raises
+    :class:`~repro.errors.CheckpointError`.
     """
-    header = None
-    records: List[dict] = []
-    clean_bytes = 0
-    torn = False
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    lines = raw.split(b"\n")
-    # A trailing newline yields one empty final chunk; drop it (it is
-    # part of the clean prefix).
-    offset = 0
-    for lineno, line in enumerate(lines):
-        end = offset + len(line) + 1  # +1 for the newline
-        last = lineno == len(lines) - 1
-        if not line.strip():
-            offset = end
-            if not last:
-                clean_bytes = min(end, len(raw))
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            if last:
-                torn = True
-                break  # torn write from an interrupted campaign
-            raise CheckpointError(
-                f"corrupt checkpoint {path!r} at line {lineno + 1}"
-            )
-        if last and not raw.endswith(b"\n"):
-            # Parseable but missing its newline: the write may still be
-            # in flight — treat as torn so appends do not concatenate.
-            torn = True
-            break
-        clean_bytes = min(end, len(raw))
-        offset = end
-        if record.get("type") == "header":
-            header = record
-        else:
-            records.append(record)
-    return header, records, clean_bytes, torn
+    try:
+        return jsonlog.read(path)
+    except jsonlog.CorruptLog as err:
+        raise _corrupt(path, err)
 
 
 def read_journal(path: str, warn=None):
@@ -1078,33 +1071,35 @@ def read_journal(path: str, warn=None):
     return header, records
 
 
+def checkpoint_records(
+    path: str, fingerprint: Optional[str] = None
+) -> Dict[int, dict]:
+    """The injection records of the checkpoint at ``path``, by index.
+
+    Raises :class:`~repro.errors.CheckpointError` when it does not
+    exist, is corrupt, or is another campaign's journal.
+    """
+    if not os.path.exists(path):
+        raise CheckpointError(f"checkpoint {path!r} does not exist")
+    header, journal = read_journal(path)
+    differs = journal_mismatch(header, fingerprint)
+    if differs:
+        raise CheckpointError(
+            f"checkpoint {path!r} {differs} (config/seed/target changed?)"
+        )
+    records: Dict[int, dict] = {}
+    fold_injections(journal, records)
+    return records
+
+
 def load_checkpoint(
     path: str, fingerprint: Optional[str] = None
 ) -> Dict[int, InjectionResult]:
     """Load completed injections from a checkpoint, keyed by task index."""
-    if not os.path.exists(path):
-        raise CheckpointError(f"checkpoint {path!r} does not exist")
-    header, records = read_journal(path)
-    if header is None:
-        return {}
-    if header.get("version") != JOURNAL_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path!r} has journal version "
-            f"{header.get('version')!r}, expected {JOURNAL_VERSION}"
-        )
-    if fingerprint is not None and header.get("fingerprint") != fingerprint:
-        raise CheckpointError(
-            f"checkpoint {path!r} was written by campaign "
-            f"{header.get('fingerprint')!r}; this campaign is "
-            f"{fingerprint!r} (config/seed/target changed?)"
-        )
-    restored: Dict[int, InjectionResult] = {}
-    for record in records:
-        if record.get("type") != "injection":
-            continue
-        result = result_from_record(record)
-        restored[result.task.index] = result
-    return restored
+    return {
+        index: result_from_record(record)
+        for index, record in checkpoint_records(path, fingerprint).items()
+    }
 
 
 def campaign_fingerprint(payload: dict) -> str:

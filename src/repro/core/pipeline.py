@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.core.fault_injection import (
     ENGINE_TRACE,
@@ -29,7 +29,10 @@ from repro.core.harness import (
     CampaignJournal,
     HarnessConfig,
     campaign_fingerprint,
-    load_checkpoint,
+    checkpoint_records,
+    journal_mismatch,
+    result_from_record,
+    scan_journal,
 )
 from repro.core.report import AnalysisReport
 from repro.core.resources import (
@@ -339,6 +342,14 @@ def _check_config(config: MumakConfig, app_factory: Callable[[], Any]) -> None:
             raise ConfigError(message.format(hit, c=config))
 
 
+def _results(records: Dict[int, dict]) -> dict:
+    """Resume state: the results journal ``records`` hold, by index."""
+    return {
+        index: result_from_record(record)
+        for index, record in records.items()
+    }
+
+
 @dataclass
 class MumakResult:
     report: AnalysisReport
@@ -475,14 +486,18 @@ class Mumak:
                 stop=config.stop_event,
                 stall_window=config.stall_window_seconds,
             )
+            fingerprint = config.fingerprint(target_name)
+            distributed = (
+                config.fleet_dir is not None or config.shards > 1
+                or bool(config.chaos)
+            )
+            resumed = self._open_checkpoint(
+                fingerprint, resume_from, distributed
+            )
             with timer.phase("fault_injection"), telemetry.span(
                 "campaign/injection"
             ):
-                if (
-                    config.fleet_dir is not None
-                    or config.shards > 1
-                    or config.chaos
-                ):
+                if distributed:
                     fi_result = self._inject_distributed(
                         injector,
                         app_factory,
@@ -490,7 +505,7 @@ class Mumak:
                         target_name,
                         recovery_config,
                         usage,
-                        resume_from,
+                        resumed,
                     )
                 else:
                     fi_result = self._inject_local(
@@ -498,9 +513,9 @@ class Mumak:
                         app_factory,
                         workload,
                         runs,
-                        target_name,
+                        fingerprint,
                         usage,
-                        resume_from,
+                        resumed,
                     )
             # Surface the hot-path breakdown: how much of the injection
             # phase went to image materialisation vs oracle recovery.
@@ -571,22 +586,61 @@ class Mumak:
             telemetry=telemetry if telemetry.enabled else None,
         )
 
+    def _open_checkpoint(
+        self, fingerprint: str, resume_from: Optional[str], distributed: bool
+    ) -> Dict[int, dict]:
+        """The one fresh-or-resume rule, applied before any injection by
+        every executor; returns the journal records to resume from.
+
+        A checkpoint that exists and is another campaign's journal is
+        refused (:class:`~repro.errors.CheckpointError`) and left as it
+        is.  Without ``resume_from`` this campaign's checkpoint starts
+        afresh, so each record is written once, and shard or fleet runs
+        sweep the stray shard journals of an abandoned run.
+        ``resume_from`` is read once; shard and fleet runs also fold the
+        stray shard journals a crash before their merge left behind (a
+        missing checkpoint is then fine).
+        """
+        path = self.config.checkpoint_path
+        if path is not None and path != resume_from and os.path.exists(path):
+            differs = journal_mismatch(scan_journal(path)[0], fingerprint)
+            if differs:
+                raise CheckpointError(
+                    f"checkpoint {path!r} {differs}; refusing to overwrite "
+                    "another campaign's journal"
+                )
+            os.remove(path)
+        strays = distributed and path is not None
+        if resume_from is None:
+            if strays:
+                from repro.fabric import cleanup_shard_artifacts
+
+                cleanup_shard_artifacts(path)
+            return {}
+        records: Dict[int, dict] = {}
+        if strays:
+            from repro.fabric import collect_shard_records
+
+            records = collect_shard_records(path, fingerprint)
+        if os.path.exists(resume_from) or not records:
+            journal = checkpoint_records(resume_from, fingerprint)
+            for index, record in records.items():
+                journal.setdefault(index, record)
+            records = journal
+        return records
+
     def _inject_local(
         self,
         injector: FaultInjector,
         app_factory,
         workload,
         runs,
-        target_name: str,
+        fingerprint: str,
         usage,
-        resume_from: Optional[str],
+        resumed: Dict[int, dict],
     ) -> FaultInjectionResult:
         """The injection phase, serially in this process."""
         config = self.config
-        fingerprint = config.fingerprint(target_name)
-        resume_state = None
-        if resume_from is not None:
-            resume_state = load_checkpoint(resume_from, fingerprint)
         journal = None
         if config.checkpoint_path is not None:
             journal = CampaignJournal(
@@ -602,7 +656,7 @@ class Mumak:
                 workload=workload,
                 seed=config.seed,
                 journal=journal,
-                resume_state=resume_state,
+                resume_state=_results(resumed),
             )
         finally:
             if journal is not None:
@@ -617,7 +671,7 @@ class Mumak:
         target_name: str,
         recovery_config,
         usage,
-        resume_from: Optional[str],
+        resumed: Dict[int, dict],
     ) -> FaultInjectionResult:
         """The injection phase across shard processes or fleet hosts.
 
@@ -629,13 +683,7 @@ class Mumak:
         import dataclasses
         import tempfile
 
-        from repro.core.harness import read_journal, result_from_record
-        from repro.fabric import (
-            ChaosConfig,
-            FabricConfig,
-            cleanup_shard_artifacts,
-            collect_shard_records,
-        )
+        from repro.fabric import ChaosConfig, FabricConfig
         from repro.fabric.chaos import TransportChaosConfig
         from repro.fabric.fleet import FleetConfig
 
@@ -683,35 +731,6 @@ class Mumak:
             checkpoint = config.checkpoint_path or os.path.join(
                 tmp, "campaign.journal"
             )
-            resume_state = {}
-            base_records = {}
-            if resume_from is None:
-                # Stray shard artifacts belong to an abandoned run the
-                # user chose not to resume; a fresh campaign must not
-                # fold them in (they may even carry a stale fingerprint).
-                cleanup_shard_artifacts(checkpoint)
-            else:
-                # Crash recovery: records may live in the main journal
-                # (merged before the crash), in stray shard journals
-                # (crash between shard flush and merge), or both.
-                strays = collect_shard_records(checkpoint, fingerprint)
-                if os.path.exists(resume_from):
-                    resume_state = load_checkpoint(resume_from, fingerprint)
-                    _, raw = read_journal(resume_from)
-                    base_records = {
-                        record["i"]: record
-                        for record in raw
-                        if record.get("type") == "injection"
-                    }
-                elif not strays:
-                    raise CheckpointError(
-                        f"checkpoint {resume_from!r} does not exist"
-                    )
-                for index, record in strays.items():
-                    base_records.setdefault(index, record)
-                    resume_state.setdefault(
-                        index, result_from_record(record)
-                    )
             if config.fleet_dir is not None:
                 fi_result = injector.inject_fleet(
                     app_factory,
@@ -722,8 +741,8 @@ class Mumak:
                     config.fingerprint_payload(target_name),
                     spec,
                     seed=config.seed,
-                    resume_state=resume_state,
-                    base_records=base_records,
+                    resume_state=_results(resumed),
+                    base_records=resumed,
                 )
             else:
                 fi_result = injector.inject_sharded(
@@ -733,8 +752,8 @@ class Mumak:
                     checkpoint,
                     fingerprint,
                     seed=config.seed,
-                    resume_state=resume_state,
-                    base_records=base_records,
+                    resume_state=_results(resumed),
+                    base_records=resumed,
                 )
             if config.checkpoint_path is not None and os.path.exists(
                 checkpoint

@@ -52,7 +52,13 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.core.harness import campaign_fingerprint
+from repro import jsonlog
+from repro.core.harness import (
+    campaign_fingerprint,
+    fold_injections,
+    journal_header,
+    journal_mismatch,
+)
 from repro.errors import FleetError, TransportError, TransportMissing
 from repro.fabric.chaos import TransportChaosConfig
 from repro.fabric.lease import LeaseQueue
@@ -227,49 +233,22 @@ def fold_journal_bytes(
     on-disk shard merge, hardened for transport damage: a payload
     truncated at *any* byte either folds its clean record prefix or is
     refused whole — it can never corrupt ``records``, because a line
-    that does not parse (or a header that does not match this
-    campaign's fingerprint) stops the fold before anything bad lands.
-    First writer wins on duplicate indices; execution is deterministic,
-    so the duplicate is byte-identical and only *counted*.
+    that does not parse (or a header that is not this campaign's) stops
+    the fold before anything bad lands.  First writer wins on duplicate
+    indices; execution is deterministic, so the duplicate is
+    byte-identical and only *counted*.
     """
-    folded = duplicates = 0
-    torn = False
-    lines = data.split(b"\n")
-    header = None
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError("journal line is not an object")
-        except (ValueError, UnicodeDecodeError):
-            torn = True
-            break  # clean prefix ends here (torn in flight)
-        if header is None:
-            if record.get("type") != "header":
-                if warn is not None:
-                    warn(f"fleet: {origin} has no journal header; refused")
-                return 0, 0, True
-            if record.get("fingerprint") != fingerprint:
-                if warn is not None:
-                    warn(
-                        f"fleet: {origin} belongs to campaign "
-                        f"{record.get('fingerprint')!r}, not "
-                        f"{fingerprint!r}; refused"
-                    )
-                return 0, 0, False
-            header = record
-            continue
-        if record.get("type") != "injection" or "i" not in record:
-            continue
-        if records.setdefault(record["i"], record) is record:
-            folded += 1
-        else:
-            duplicates += 1
-    if header is None:
+    header, lines, _, torn = jsonlog.parse(data, strict=False)
+    if header is None or header.get("type") != "header":
+        if header is not None and warn is not None:
+            warn(f"fleet: {origin} has no journal header; refused")
         return 0, 0, True
-    return folded, duplicates, torn
+    differs = journal_mismatch(header, fingerprint)
+    if differs:
+        if warn is not None:
+            warn(f"fleet: {origin} {differs}; refused")
+        return 0, 0, False
+    return fold_injections(lines, records) + (torn,)
 
 
 # --------------------------------------------------------------------- #
@@ -1011,7 +990,7 @@ def _run_lease(
         _ship(
             fleet_transport,
             lease,
-            _header_only_journal(fingerprint, seed),
+            jsonlog.dumps(journal_header(fingerprint, seed)).encode(),
             None,
             count_retry,
         )
@@ -1045,24 +1024,6 @@ def _run_lease(
             cache_bytes = fh.read()
     _ship(fleet_transport, lease, journal_bytes, cache_bytes, count_retry)
     return len(slice_tasks)
-
-
-def _header_only_journal(fingerprint: str, seed: int) -> bytes:
-    from repro.core.harness import JOURNAL_VERSION
-
-    return (
-        json.dumps(
-            {
-                "type": "header",
-                "version": JOURNAL_VERSION,
-                "fingerprint": fingerprint,
-                "seed": seed,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-    ).encode()
 
 
 def _ship(

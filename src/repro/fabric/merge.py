@@ -9,10 +9,10 @@ serial run would have written:
 
 * :func:`merge_journals` unions the already-known records (resume state)
   with every shard journal, sorts by injection index, and rewrites the
-  campaign journal **atomically** (temp file + fsync + ``os.replace``) —
-  a crash mid-merge leaves either the old journal or the new one, never
-  a half-merged hybrid.  The merged bytes are identical to the journal a
-  serial campaign writes: same header dump, same record dump, same
+  campaign journal **atomically** (:func:`repro.jsonlog.rewrite`) — a
+  crash mid-merge leaves either the old journal or the new one, never a
+  half-merged hybrid.  The merged bytes are identical to the journal a
+  serial campaign writes: the same canonical lines, in the same
   ascending-index order (serial completion order *is* index order).
 * :func:`merge_vcaches` folds shard verdict caches into the campaign
   cache through :meth:`~repro.recovery.cache.VerdictCache.store_record`,
@@ -28,13 +28,15 @@ cleans them up after its own merge.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import re
 from typing import Dict, Iterable, List, Optional, Set
 
+from repro import jsonlog
 from repro.core.harness import (
-    JOURNAL_VERSION,
+    fold_injections,
+    journal_header,
+    journal_mismatch,
     read_journal,
     result_from_record,
 )
@@ -75,31 +77,18 @@ def find_shard_journals(checkpoint_path: str) -> List[str]:
 def _shard_records(
     path: str, fingerprint: str, records: Dict[int, dict], warn=None
 ) -> int:
-    """Fold one shard journal's injection records into ``records``.
-
-    First writer wins on duplicate indices — duplicates only arise when
-    the same injection was (deterministically) re-executed, so the
-    records are identical anyway.  A fingerprint mismatch is fatal: the
-    shard file belongs to a different campaign configuration and must
-    not be silently folded in.
-    """
+    """Fold one shard journal's injection records into ``records``
+    (first writer wins, :func:`~repro.core.harness.fold_injections`).
+    Another campaign's shard journal is fatal: it must not be silently
+    folded in."""
     header, shard_records = read_journal(path, warn=warn)
-    if header is None:
-        return 0
-    if header.get("fingerprint") != fingerprint:
+    differs = journal_mismatch(header, fingerprint)
+    if differs:
         raise CheckpointError(
-            f"shard journal {path!r} belongs to campaign "
-            f"{header.get('fingerprint')!r}, not {fingerprint!r}; "
-            "delete the stale .shard* files or point --checkpoint at "
-            "a fresh path"
+            f"shard journal {path!r} {differs}; delete the stale .shard* "
+            "files or point --checkpoint at a fresh path"
         )
-    folded = 0
-    for record in shard_records:
-        if record.get("type") != "injection":
-            continue
-        if records.setdefault(record["i"], record) is record:
-            folded += 1
-    return folded
+    return fold_injections(shard_records, records)[0]
 
 
 def collect_shard_records(
@@ -124,7 +113,9 @@ def merge_journals(
 
     ``base_records`` are the records already known before this run's
     shards executed (the resume state); ``shard_paths`` defaults to
-    every on-disk shard journal of ``checkpoint_path``.  Returns the
+    every on-disk shard journal of ``checkpoint_path``.  The rewrite is
+    the serial journal's bytes: its header, then every record in
+    ascending injection index (= serial completion order).  Returns the
     merged index → record map.
     """
     records: Dict[int, dict] = dict(base_records or {})
@@ -133,32 +124,11 @@ def merge_journals(
     for path in shard_paths:
         if os.path.exists(path):
             _shard_records(path, fingerprint, records, warn=warn)
-
-    # Byte-identical to CampaignJournal's own serialisation: one dump
-    # shape for the header and every record, ascending injection index
-    # (= serial completion order).
-    def dump(payload: dict) -> str:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    tmp_path = checkpoint_path + ".merge.tmp"
-    with open(tmp_path, "w", encoding="utf-8") as tmp:
-        tmp.write(
-            dump(
-                {
-                    "type": "header",
-                    "version": JOURNAL_VERSION,
-                    "fingerprint": fingerprint,
-                    "seed": seed,
-                }
-            )
-            + "\n"
-        )
-        for index in sorted(records):
-            tmp.write(dump(records[index]) + "\n")
-        tmp.flush()
-        os.fsync(tmp.fileno())
-    os.replace(tmp_path, checkpoint_path)
-    _fsync_directory(os.path.dirname(checkpoint_path) or ".")
+    jsonlog.rewrite(
+        checkpoint_path,
+        [journal_header(fingerprint, seed)]
+        + [records[index] for index in sorted(records)],
+    )
     return records
 
 
@@ -218,20 +188,6 @@ def cleanup_shard_artifacts(checkpoint_path: str) -> int:
             except FileNotFoundError:
                 pass
     return removed
-
-
-def _fsync_directory(directory: str) -> None:
-    """Make the ``os.replace`` durable (best-effort on exotic FS)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - unopenable directory
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync-less filesystems
-        pass
-    finally:
-        os.close(fd)
 
 
 __all__ = [

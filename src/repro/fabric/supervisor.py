@@ -52,7 +52,11 @@ import time
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.core.harness import deterministic_backoff, scan_journal
+from repro.core.harness import (
+    deterministic_backoff,
+    journal_mismatch,
+    scan_journal,
+)
 from repro.errors import CheckpointError, FabricError
 from repro.fabric.chaos import ChaosConfig, ChaosMonkey
 from repro.fabric.merge import (
@@ -291,8 +295,8 @@ class ShardSupervisor:
         """The shard's unfinished tasks, from its journal (ground truth).
 
         Tolerates the torn trailing line a SIGKILL mid-write leaves
-        (that injection simply re-runs); mid-file corruption and
-        fingerprint mismatches stay fatal.
+        (that injection simply re-runs); mid-file corruption and another
+        campaign's journal stay fatal.
         """
         if not os.path.exists(shard.path):
             return list(shard.tasks)
@@ -302,11 +306,11 @@ class ShardSupervisor:
             raise FabricError(
                 f"shard {shard.id} journal is corrupt mid-file: {err}"
             )
-        if header is not None and header.get("fingerprint") != self.fingerprint:
+        differs = journal_mismatch(header, self.fingerprint)
+        if differs:
             raise FabricError(
-                f"shard journal {shard.path!r} belongs to campaign "
-                f"{header.get('fingerprint')!r}, not {self.fingerprint!r}; "
-                "delete the stale .shard* files"
+                f"shard journal {shard.path!r} {differs}; delete the "
+                "stale .shard* files"
             )
         done = {
             record["i"]

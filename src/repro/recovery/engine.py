@@ -126,9 +126,9 @@ class RecoveryEngine:
         (``<journal_path>.vcache``) and first adopts every verdict in
         the ``donors`` — cache file paths, or cache payloads (bytes)
         shipped over a fleet transport — leniently, so a donor torn in
-        flight or by a kill yields its clean prefix.  A SIGKILL can tear
-        the slice cache's own header; the cache is an accelerator, never
-        ground truth, so it is then rebuilt from scratch.
+        flight or by a kill yields its clean prefix.  A slice cache the
+        campaign cannot use (another scope, corrupt mid-file) is an
+        accelerator lost, never ground truth: it is rebuilt from scratch.
         """
         config = dataclasses.replace(
             config,
@@ -149,7 +149,7 @@ class RecoveryEngine:
                             donor = fh.read()
                     except OSError:
                         continue
-                engine.cache.adopt_bytes(donor)
+                engine.cache.adopt(donor)
             engine.stats.cache_loaded = engine.cache.loaded
         return engine
 

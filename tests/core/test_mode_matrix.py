@@ -20,7 +20,7 @@ from repro.apps.btree import BTree
 from repro.apps.msgqueue_tso import MsgQueueTSO
 from repro.core import Mumak, MumakConfig
 from repro.core.pipeline import _REFUSALS
-from repro.errors import ConfigError
+from repro.errors import CheckpointError, ConfigError
 from repro.pmem.faultmodel import FaultModelConfig
 from repro.sched.config import SchedConfig
 from repro.workloads import generate_workload
@@ -135,3 +135,27 @@ def test_cell_writes_the_serial_bytes_or_is_refused(
         journal = journal.split(b"\n", 1)[1]
         expected = expected.split(b"\n", 1)[1]
     assert journal == expected
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_existing_checkpoint_restarts_or_is_refused(executor, tmp_path):
+    """Without a resume, every executor starts its own campaign's
+    checkpoint afresh (each record written once) and refuses another
+    campaign's before any injection, leaving it byte-identical."""
+    cell = ("btree", "prefix", "on", executor, "trace")
+    with open(campaign(tmp_path, *cell), "rb") as handle:
+        first = handle.read()
+    with open(campaign(tmp_path, *cell), "rb") as handle:
+        assert handle.read() == first
+
+    header, records = first.split(b"\n", 1)
+    foreign = header.replace(b'"fingerprint":"', b'"fingerprint":"0')
+    other = tmp_path / "other"
+    other.mkdir()
+    path = other / "campaign.jsonl"
+    path.write_bytes(foreign + b"\n" + records)
+    with pytest.raises(CheckpointError):
+        campaign(other, *cell)
+    assert path.read_bytes() == foreign + b"\n" + records
+    assert os.listdir(other) == ["campaign.jsonl"]

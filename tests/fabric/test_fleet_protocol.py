@@ -6,12 +6,18 @@ or be refused whole — corruption of supervisor state is never an
 option.  Hypothesis drives the truncation point."""
 
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.harness import JOURNAL_VERSION, campaign_fingerprint
+from repro.core.harness import (
+    JOURNAL_VERSION,
+    campaign_fingerprint,
+    scan_journal,
+)
 from repro.errors import FleetError
 from repro.fabric.chaos import TransportChaosConfig
 from repro.fabric.fleet import (
@@ -103,6 +109,13 @@ class TestFoldJournalBytes:
         if folded == 8:
             # Everything folded: at most the final newline was cut.
             assert cut >= len(full) - 1
+        # The strict file reader sees exactly the records the fold took.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cut.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(full[:cut])
+            _, scanned, _, _ = scan_journal(path)
+        assert {record["i"]: record for record in scanned} == records
 
     @given(
         cut=st.integers(min_value=0, max_value=120),
@@ -188,19 +201,19 @@ def _cache_bytes(scope="scope-a", n=6) -> bytes:
 class TestAdoptBytes:
     def test_clean_payload_adopts_everything(self):
         cache = VerdictCache("scope-a")
-        assert cache.adopt_bytes(_cache_bytes()) == 6
+        assert cache.adopt(_cache_bytes()) == 6
         assert len(cache) == 6
 
     def test_foreign_scope_adopts_nothing(self):
         cache = VerdictCache("scope-b")
-        assert cache.adopt_bytes(_cache_bytes(scope="scope-a")) == 0
+        assert cache.adopt(_cache_bytes(scope="scope-a")) == 0
         assert len(cache) == 0
 
     @given(cut=st.integers(min_value=0, max_value=len(_cache_bytes())))
     @settings(max_examples=150, deadline=None)
     def test_truncation_at_any_byte_adopts_a_clean_prefix(self, cut):
         cache = VerdictCache("scope-a")
-        adopted = cache.adopt_bytes(_cache_bytes()[:cut])
+        adopted = cache.adopt(_cache_bytes()[:cut])
         # Adopted digests are exactly the first `adopted` ones, with
         # intact outcome records — a half-written record never lands.
         assert set(cache.records()) == {
@@ -208,3 +221,10 @@ class TestAdoptBytes:
         }
         for record in cache.records().values():
             assert record == {"status": "OK", "error": None, "trace": None}
+        # Loading the same bytes as a cache file gives the same verdicts.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cut.vcache")
+            with open(path, "wb") as fh:
+                fh.write(_cache_bytes()[:cut])
+            with VerdictCache("scope-a", path=path) as loaded:
+                assert loaded.records() == cache.records()

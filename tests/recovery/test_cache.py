@@ -138,6 +138,12 @@ def test_torn_trailing_line_is_dropped(tmp_path):
     reloaded = VerdictCache(SCOPE, path=path)
     assert reloaded.loaded == 2
     assert reloaded.lookup("d3") is None
+    # The next append lands after the clean prefix, not on the fragment.
+    reloaded.store("d3", outcome())
+    reloaded.close()
+    again = VerdictCache(SCOPE, path=path)
+    assert again.loaded == 3
+    assert sorted(again.records()) == ["d1", "d2", "d3"]
 
 
 def test_mid_file_corruption_raises(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
-from repro.core.harness import campaign_fingerprint
+from repro.core.harness import CampaignJournal, campaign_fingerprint
 from repro.fabric.fleet import MANIFEST_NAME, FleetConfig, build_manifest
 from repro.fabric.transport import DirTransport
 from repro.recovery import VerdictCache
@@ -94,6 +94,13 @@ def _foreign_scope_cache(tmp_path):
     return ["--recovery-cache", path]
 
 
+def _foreign_checkpoint(tmp_path):
+    """A checkpoint holding another campaign's journal."""
+    path = str(tmp_path / "foreign.jsonl")
+    CampaignJournal(path, "another-campaign").close()
+    return ["--checkpoint", path]
+
+
 def _a_file(tmp_path):
     path = tmp_path / "a-file"
     path.write_text("x\n")
@@ -137,6 +144,9 @@ def _foreign_fleet(tmp_path):
     lambda tmp: ["--fleet", _a_file(tmp)],
     lambda tmp: ["--obs", _a_file(tmp)],
     _foreign_fleet,
+    lambda tmp: _foreign_checkpoint(tmp) + ["--shards", "2"],
+    lambda tmp: _foreign_checkpoint(tmp) + [
+        "--fleet", str(tmp / "fleet"), "--fleet-patience", "0"],
 ], ids=[
     "timeout-zero", "timeout-negative", "step-budget-zero", "ops-negative",
     "max-injections-negative", "bugs-unknown", "retries-negative",
@@ -147,6 +157,8 @@ def _foreign_fleet(tmp_path):
     "fleet-patience-negative", "checkpoint-dir-missing",
     "checkpoint-is-a-dir", "cache-is-a-dir", "fleet-is-a-file",
     "obs-is-a-file", "fleet-hosts-another-campaign",
+    "shards-onto-another-campaigns-checkpoint",
+    "fleet-onto-another-campaigns-checkpoint",
 ])
 def test_analyze_bad_input_is_one_line_refusal(extra, tmp_path, capsys):
     """Bad values and unusable files exit 2 with one stderr line, never a
@@ -175,6 +187,27 @@ def test_resume_of_another_workload_is_refused(fabric, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "another workload" in err
     assert path.read_bytes() == before
+
+
+def test_resume_appends_after_torn_journal_and_cache_tails(tmp_path):
+    """A kill mid-record tears the journal and the verdict cache; every
+    later resume appends after the torn tails, never onto them."""
+    ref, path = tmp_path / "ref.jsonl", tmp_path / "c.jsonl"
+    cache = tmp_path / "c.jsonl.vcache"
+    run = ["analyze", "btree", "--spt", "--ops", "40", "--checkpoint"]
+
+    def keep_lines(count):
+        path.write_bytes(b"".join(path.read_bytes().splitlines(True)[:count]))
+
+    assert main(run + [str(ref)]) == 1
+    assert main(run + [str(path)]) == 1
+    keep_lines(11)
+    cache.write_bytes(cache.read_bytes()[:-25])
+    for keep in (None, 6, None):
+        if keep is not None:
+            keep_lines(keep)
+        assert main(run + [str(path), "--resume"]) == 1
+        assert path.read_bytes() == ref.read_bytes()
 
 
 #: Flag values the sweep draws from: out-of-range numbers and unusable
