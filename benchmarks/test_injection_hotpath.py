@@ -120,16 +120,16 @@ def _run_campaign(n_ops: int, engine: str):
         "wall_seconds": round(wall, 4),
         "materialise_seconds": round(materialise, 4),
         "recovery_seconds": round(recovery, 4),
-        "images": stats.images_materialised,
+        "images": stats.image.images,
         "images_per_second": round(
-            stats.images_materialised / materialise, 1
+            stats.image.images / materialise, 1
         ) if materialise > 0 else None,
-        "bytes_copied": stats.image_bytes_copied,
-        "delta_bytes_applied": stats.image_delta_bytes_applied,
-        "dirty_bytes_restored": stats.image_dirty_bytes_restored,
-        "pool_hits": stats.image_pool_hits,
-        "full_rebuilds": stats.image_full_rebuilds,
-        "history_passes": stats.history_passes,
+        "bytes_copied": stats.image.bytes_copied,
+        "delta_bytes_applied": stats.image.delta_bytes_applied,
+        "dirty_bytes_restored": stats.image.dirty_bytes_restored,
+        "pool_hits": stats.image.pool_hits,
+        "full_rebuilds": stats.image.full_rebuilds,
+        "history_passes": stats.image.history_passes,
     }
 
 

@@ -106,11 +106,11 @@ def _run_campaign(n_ops: int, leg: str, cache_path: str):
             _registry_total(result, "recovery/cache"), 4
         ),
         "injections": stats.injections,
-        "cache_hits": stats.recovery_cache_hits,
-        "cache_misses": stats.recovery_cache_misses,
-        "cache_loaded": stats.recovery_cache_loaded,
-        "pool_boots": stats.recovery_pool_boots,
-        "pool_reuses": stats.recovery_pool_reuses,
+        "cache_hits": stats.recovery.cache_hits,
+        "cache_misses": stats.recovery.cache_misses,
+        "cache_loaded": stats.recovery.cache_loaded,
+        "pool_boots": stats.recovery.pool_boots,
+        "pool_reuses": stats.recovery.pool_reuses,
     }
 
 

@@ -18,6 +18,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 
 from repro.apps import (
@@ -55,7 +56,7 @@ def _heartbeat_sink(line: str) -> None:
     emit(line, stream=sys.stderr)
 
 
-def _add_analyze(sub) -> None:
+def _add_analyze(sub) -> argparse.ArgumentParser:
     parser = sub.add_parser("analyze", help="run Mumak on a target")
     parser.add_argument("target", choices=ALL_TARGETS)
     parser.add_argument("--ops", type=int, default=300,
@@ -229,33 +230,29 @@ def _add_analyze(sub) -> None:
                              "(failure points/s, ETA, quarantine/hang "
                              "counts) to stderr every SECONDS "
                              "(default 0 = off)")
+    return parser
 
 
 def _resume_flags(args) -> str:
     """The complete command that resumes this exact campaign.
 
-    Not just ``--resume``: a drained 8-shard (or fleet) campaign resumed
-    without its ``--shards``/``--fleet``/``--chaos`` flags would
-    silently finish under a different execution shape, so the hint
-    carries everything needed to paste verbatim.
+    Not just ``--resume``: every ``analyze`` flag whose value differs
+    from its default, in definition order — the fingerprint's seed and
+    fault model, the workload's ``--ops``/``--spt``/``--bugs``, and the
+    execution shape (``--shards``/``--fleet``/``--chaos``) alike — so
+    the hint pastes verbatim into the same campaign.
     """
-    parts = [
-        f"mumak analyze {args.target}",
-        f"--checkpoint {args.checkpoint}",
-        "--resume",
-    ]
-    if getattr(args, "sched", None):
-        parts.append(f"--sched {args.sched}")
-    if getattr(args, "fleet", None):
-        parts.append(f"--fleet {args.fleet}")
-        if args.fleet_slices != 4:
-            parts.append(f"--fleet-slices {args.fleet_slices}")
-    if args.shards > 1:
-        parts.append(f"--shards {args.shards}")
-    if args.chaos:
-        parts.append(f"--chaos {args.chaos}")
-    if getattr(args, "transport_chaos", None):
-        parts.append(f"--transport-chaos {args.transport_chaos}")
+    parser = _add_analyze(argparse.ArgumentParser().add_subparsers())
+    values = dict(vars(args), resume=True)
+    parts = ["mumak", "analyze"]
+    for action in parser._actions:
+        value = values.get(action.dest, action.default)
+        if not action.option_strings:
+            parts.append(shlex.quote(str(value)))
+        elif value != action.default:
+            parts.append(action.option_strings[0])
+            if action.nargs != 0:
+                parts.append(shlex.quote(str(value)))
     return " ".join(parts)
 
 
@@ -404,39 +401,39 @@ def _cmd_analyze(args) -> int:
             )
         if stats.quarantined:
             summary.append(f"quarantined: {stats.quarantined}")
-        if stats.fleet_slices:
+        fleet = stats.fleet
+        if fleet is not None:
             fleet_bits = (
-                f"fleet: {stats.fleet_slices} slice(s), "
-                f"{stats.fleet_workers} worker(s), "
-                f"{stats.fleet_deliveries} delivery(ies)"
+                f"fleet: {fleet.slices} slice(s), "
+                f"{fleet.workers} worker(s), "
+                f"{fleet.deliveries} delivery(ies)"
             )
             extras = []
-            if stats.fleet_releases:
-                extras.append(f"re-leases {stats.fleet_releases}")
-            if stats.fleet_duplicate_tasks:
+            if fleet.releases:
+                extras.append(f"re-leases {fleet.releases}")
+            if fleet.duplicate_tasks:
+                extras.append(f"duplicates {fleet.duplicate_tasks}")
+            if fleet.transport_retries:
                 extras.append(
-                    f"duplicates {stats.fleet_duplicate_tasks}"
+                    f"transport retries {fleet.transport_retries}"
                 )
-            if stats.fleet_transport_retries:
+            if fleet.local_fallback_tasks:
                 extras.append(
-                    f"transport retries {stats.fleet_transport_retries}"
-                )
-            if stats.fleet_local_fallback_tasks:
-                extras.append(
-                    f"local fallback {stats.fleet_local_fallback_tasks}"
+                    f"local fallback {fleet.local_fallback_tasks}"
                 )
             if extras:
                 fleet_bits += " (" + ", ".join(extras) + ")"
             summary.append(fleet_bits)
-        if stats.shards:
-            shard_bits = f"shards: {stats.shards}"
-            if stats.shard_deaths or stats.chaos_kills:
+        fabric = stats.fabric
+        if fabric is not None:
+            shard_bits = f"shards: {fabric.shards}"
+            if fabric.deaths or fabric.chaos_kills:
                 shard_bits += (
-                    f" (deaths {stats.shard_deaths}, "
-                    f"respawns {stats.shard_respawns}"
+                    f" (deaths {fabric.deaths}, "
+                    f"respawns {fabric.respawns}"
                 )
-                if stats.chaos_kills:
-                    shard_bits += f", chaos kills {stats.chaos_kills}"
+                if fabric.chaos_kills:
+                    shard_bits += f", chaos kills {fabric.chaos_kills}"
                 shard_bits += ")"
             summary.append(shard_bits)
         summary.append(
@@ -444,12 +441,13 @@ def _cmd_analyze(args) -> int:
             f"(materialise {stats.materialise_seconds:.2f}s, "
             f"recovery {stats.recovery_seconds:.2f}s)"
         )
-        if stats.recovery_cache_hits or stats.recovery_cache_misses:
+        recovery = stats.recovery
+        if recovery.cache_hits or recovery.cache_misses:
             summary.append(
                 "recovery cache: "
-                f"{stats.recovery_cache_hits} hits / "
-                f"{stats.recovery_cache_misses} misses "
-                f"(pool reuses: {stats.recovery_pool_reuses})"
+                f"{recovery.cache_hits} hits / "
+                f"{recovery.cache_misses} misses "
+                f"(pool reuses: {recovery.pool_reuses})"
             )
     else:
         summary.append("fault injection: skipped (trace analysis only)")

@@ -34,10 +34,13 @@ containment with retry + quarantine, and checkpoint journaling + resume.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.fpt import FailurePointTree
 from repro.core.harness import (
@@ -57,6 +60,7 @@ from repro.core.report import Finding, ModelComparison
 from repro.errors import CrashInjected
 from repro.instrument.runner import run_instrumented
 from repro.obs.heartbeat import HeartbeatMonitor
+from repro.obs.metrics import merge_record, publish_record
 from repro.obs.spans import NULL_TELEMETRY
 from repro.instrument.tracer import (
     GRANULARITY_PERSISTENCY,
@@ -78,6 +82,11 @@ from repro.recovery import (
 )
 from repro.recovery.engine import CACHE_SUFFIX
 
+if TYPE_CHECKING:
+    # Lazy at run time: repro.fabric depends on this package's harness.
+    from repro.fabric import FabricStats
+    from repro.fabric.fleet import FleetStats
+
 # ``run_campaign`` and ``run_instrumented`` are called through this
 # module's globals: the benchmark's layer tracer (``perfbench/tracer.py``)
 # patches them here by name.
@@ -88,7 +97,15 @@ ENGINE_REPLAY = "replay"
 
 @dataclass
 class FaultInjectionStats:
-    """Bookkeeping for the evaluation tables."""
+    """The campaign record: the evaluation tables' bookkeeping.
+
+    Detection seeds the campaign's own tallies; the injections' are
+    computed in one place, from the folded results
+    (:meth:`FaultInjector._collect`), so every executor fills them the
+    same way.  Every other counter has one owner, nested here as that
+    owner's record: the image source's, the recovery engine's, and —
+    when that executor ran — the shard or fleet supervisor's.
+    """
 
     candidates: int = 0
     unique_failure_points: int = 0
@@ -104,6 +121,7 @@ class FaultInjectionStats:
     quarantined: int = 0
     hung: int = 0
     resource_exhausted: int = 0
+    #: Containment retries of the injections this run executed.
     retries: int = 0
     #: Injections restored from a checkpoint instead of re-executed.
     resumed: int = 0
@@ -113,142 +131,46 @@ class FaultInjectionStats:
     schedules: int = 0
     #: Simulated threads per schedule sample.
     sched_threads: int = 0
-    # Multiprocess fabric accounting (repro.fabric).
-    #: Shard worker processes the campaign was partitioned across
-    #: (0 = in-process execution).
-    shards: int = 0
-    #: Shard processes that died with work remaining (and were requeued).
-    shard_deaths: int = 0
-    shard_respawns: int = 0
-    #: Workers the built-in chaos monkey SIGKILLed.
-    chaos_kills: int = 0
-    # Cross-host fleet accounting (repro.fabric.fleet).
-    #: Failure-point slices the fleet campaign was partitioned into
-    #: (0 = not a fleet campaign).
-    fleet_slices: int = 0
-    #: Distinct worker hosts observed over the transport.
-    fleet_workers: int = 0
-    #: Slice-journal deliveries folded from the transport.
-    fleet_deliveries: int = 0
-    #: Deliveries truncated in flight (clean prefix folded or refused).
-    fleet_torn_deliveries: int = 0
-    #: Expired leases reclaimed at the next fencing token.
-    fleet_releases: int = 0
-    #: Injection records delivered more than once (lease races,
-    #: duplicated uploads) and discarded by the idempotent merge.
-    fleet_duplicate_tasks: int = 0
-    #: Transport operations retried before succeeding or degrading.
-    fleet_transport_retries: int = 0
-    #: Tasks finished by the supervisor's local fallback after the
-    #: fleet went quiet.
-    fleet_local_fallback_tasks: int = 0
-    # Image-engine / hot-path accounting (repro.pmem.incremental).
     #: Which crash-image engine materialised the campaign's images.
     image_engine: str = ""
     #: Wall-clock spent materialising crash images vs running recovery.
     materialise_seconds: float = 0.0
     recovery_seconds: float = 0.0
-    images_materialised: int = 0
-    image_bytes_copied: int = 0
-    image_delta_bytes_applied: int = 0
-    image_dirty_bytes_restored: int = 0
-    image_pool_hits: int = 0
-    image_pool_misses: int = 0
-    image_full_rebuilds: int = 0
-    #: Full persistence-state-machine passes (1 under the incremental
-    #: engine; O(failure points) under replay).
-    history_passes: int = 0
-    # Recovery-engine accounting (repro.recovery).
-    recovery_cache_hits: int = 0
-    recovery_cache_misses: int = 0
-    recovery_cache_stored: int = 0
-    recovery_cache_loaded: int = 0
-    recovery_pool_boots: int = 0
-    recovery_pool_reuses: int = 0
-
-    def absorb_recovery_stats(self, stats) -> None:
-        """Fold a :class:`repro.recovery.RecoveryEngineStats` in."""
-        self.recovery_cache_hits += stats.cache_hits
-        self.recovery_cache_misses += stats.cache_misses
-        self.recovery_cache_stored += stats.cache_stored
-        self.recovery_cache_loaded += stats.cache_loaded
-        self.recovery_pool_boots += stats.pool_boots
-        self.recovery_pool_reuses += stats.pool_reuses
-
-    def absorb_image_stats(self, stats: ImageEngineStats) -> None:
-        self.images_materialised += stats.images
-        self.image_bytes_copied += stats.bytes_copied
-        self.image_delta_bytes_applied += stats.delta_bytes_applied
-        self.image_dirty_bytes_restored += stats.dirty_bytes_restored
-        self.image_pool_hits += stats.pool_hits
-        self.image_pool_misses += stats.pool_misses
-        self.image_full_rebuilds += stats.full_rebuilds
-        self.history_passes += stats.history_passes
+    #: The image source's counters, summed over every process that
+    #: relayed them (:mod:`repro.pmem.incremental`).
+    image: ImageEngineStats = field(default_factory=ImageEngineStats)
+    #: The recovery engines' counters, likewise (:mod:`repro.recovery`).
+    recovery: RecoveryEngineStats = field(
+        default_factory=RecoveryEngineStats
+    )
+    #: The shard supervisor's record (None unless ``--shards`` ran).
+    fabric: Optional[FabricStats] = None
+    #: The fleet supervisor's record (None unless ``--fleet`` ran).
+    fleet: Optional[FleetStats] = None
 
     def publish(self, registry) -> None:
-        """Absorb this bookkeeping into a :mod:`repro.obs` registry.
-
-        Counts become ``campaign_*`` counters; the materialise/recovery
-        wall-clock split becomes ``campaign_phase_split_seconds{phase=}``
-        so exporters and the phase report can read it without reaching
-        into this dataclass.  Observation-only.
-        """
-        counts = {
-            "candidates": self.candidates,
-            "unique_failure_points": self.unique_failure_points,
-            "injections": self.injections,
-            "recovery_failures": self.recovery_failures,
-            "executions": self.executions,
-            "trace_length": self.trace_length,
-            "adversarial_injections": self.adversarial_injections,
-            "media_faults": self.media_faults,
-            "quarantined": self.quarantined,
-            "hung": self.hung,
-            "resource_exhausted": self.resource_exhausted,
-            "retries": self.retries,
-            "resumed": self.resumed,
-            "schedules": self.schedules,
-            "sched_threads": self.sched_threads,
-            "shards": self.shards,
-            "shard_deaths": self.shard_deaths,
-            "shard_respawns": self.shard_respawns,
-            "chaos_kills": self.chaos_kills,
-            "fleet_slices": self.fleet_slices,
-            "fleet_workers": self.fleet_workers,
-            "fleet_deliveries": self.fleet_deliveries,
-            "fleet_torn_deliveries": self.fleet_torn_deliveries,
-            "fleet_releases": self.fleet_releases,
-            "fleet_duplicate_tasks": self.fleet_duplicate_tasks,
-            "fleet_transport_retries": self.fleet_transport_retries,
-            "fleet_local_fallback_tasks": self.fleet_local_fallback_tasks,
-            "recovery_cache_hits": self.recovery_cache_hits,
-            "recovery_cache_misses": self.recovery_cache_misses,
-            "recovery_cache_stored": self.recovery_cache_stored,
-            "recovery_cache_loaded": self.recovery_cache_loaded,
-            "recovery_pool_boots": self.recovery_pool_boots,
-            "recovery_pool_reuses": self.recovery_pool_reuses,
-        }
-        for name, value in sorted(counts.items()):
-            registry.counter(f"campaign_{name}").inc(value)
-        if self.fleet_slices > 0:
-            # Fleet headline counters are additionally exported bare so
-            # `mumak obs report` surfaces them without knowing the
-            # campaign_* prefix scheme.
-            for bare in (
-                "fleet_releases",
-                "fleet_duplicate_tasks",
-                "fleet_transport_retries",
-            ):
-                registry.counter(bare).inc(getattr(self, bare))
-        for phase, seconds in (
-            ("materialise", self.materialise_seconds),
-            ("recovery", self.recovery_seconds),
-        ):
+        """Export the record, each number under one name: the tallies
+        as ``campaign_*``, the materialise/recovery wall-clock split as
+        ``campaign_phase_split_seconds{phase,engine}``, and each nested
+        record under its owner's prefix."""
+        publish_record(
+            registry, "campaign", self,
+            exclude=("materialise_seconds", "recovery_seconds"),
+        )
+        for phase in ("materialise", "recovery"):
             registry.counter(
                 "campaign_phase_split_seconds",
                 phase=phase,
                 engine=self.image_engine,
-            ).inc(seconds)
+            ).inc(getattr(self, f"{phase}_seconds"))
+        publish_record(
+            registry, "image_engine", self.image, engine=self.image_engine
+        )
+        publish_record(registry, "recovery_engine", self.recovery)
+        if self.fabric is not None:
+            publish_record(registry, "fabric", self.fabric)
+        if self.fleet is not None:
+            publish_record(registry, "fleet", self.fleet)
 
 
 @dataclass
@@ -389,15 +311,7 @@ class FaultInjector:
         path = self.recovery.cache_path
         return [path] if path is not None else []
 
-    def _close_recovery(self, engine, stats) -> None:
-        if engine is None:
-            return
-        engine_stats = engine.close()
-        stats.absorb_recovery_stats(engine_stats)
-        if self.telemetry.enabled:
-            engine_stats.publish(self.telemetry.registry)
-
-    def _stats(self, runs, **fabric) -> FaultInjectionStats:
+    def _stats(self, runs) -> FaultInjectionStats:
         """A campaign's bookkeeping, seeded from its detection runs."""
         return FaultInjectionStats(
             candidates=sum(run.candidates for run in runs),
@@ -408,7 +322,6 @@ class FaultInjector:
             executions=len(runs),
             schedules=len(runs) if runs[0].sched >= 0 else 0,
             sched_threads=runs[0].threads,
-            **fabric,
         )
 
     def plan(
@@ -560,7 +473,8 @@ class FaultInjector:
             recovery=engine,
             stop=self.stop,
         )
-        self._close_recovery(engine, stats)
+        if engine is not None:
+            merge_record(stats.recovery, engine.close())
         if reexecute is not None:
             stats.executions += reexecute.executions
         return self._collect(campaign, stats, runs, source)
@@ -641,7 +555,7 @@ class FaultInjector:
         # Lazy: repro.fabric depends on this package's harness module.
         from repro.fabric import ShardSupervisor
 
-        stats = self._stats(runs, shards=fabric.shards)
+        stats = self._stats(runs)
         source, tasks = self.plan(runs)
         todo, restored = split_resumed(tasks, resume_state)
         donors = self._campaign_cache()
@@ -653,13 +567,13 @@ class FaultInjector:
             # The source's counters are cumulative and the fork copied
             # the parent's planning-time numbers; relay only what THIS
             # shard adds, or the parent would count planning per shard.
-            image_baseline = source.stats.as_dict()
+            image_baseline = dataclasses.asdict(source.stats)
             campaign, engine = self.run_slice(
                 runs, source, shard_tasks, app_factory, journal_path,
                 fingerprint, seed, donors=donors, heartbeat=beacon,
                 stop=stop,
             )
-            image_total = source.stats.as_dict()
+            image_total = dataclasses.asdict(source.stats)
             beacon.stats(
                 {
                     "image": {
@@ -667,7 +581,9 @@ class FaultInjector:
                         for key in image_total
                     },
                     "recovery": (
-                        engine.stats.as_dict() if engine is not None else None
+                        dataclasses.asdict(engine.stats)
+                        if engine is not None
+                        else None
                     ),
                     "materialise_seconds": campaign.materialise_seconds,
                     "recovery_seconds": campaign.recovery_seconds,
@@ -675,15 +591,8 @@ class FaultInjector:
             )
 
         def absorb_shard_stats(shard_id, payload):
-            image = payload.get("image")
-            if image:
-                stats.absorb_image_stats(ImageEngineStats(**image))
-            recovered = payload.get("recovery")
-            if recovered:
-                engine_stats = RecoveryEngineStats(**recovered)
-                stats.absorb_recovery_stats(engine_stats)
-                if self.telemetry.enabled:
-                    engine_stats.publish(self.telemetry.registry)
+            merge_record(stats.image, payload.get("image") or {})
+            merge_record(stats.recovery, payload.get("recovery") or {})
             stats.materialise_seconds += payload.get(
                 "materialise_seconds", 0.0
             )
@@ -705,9 +614,7 @@ class FaultInjector:
             warn=self.heartbeat_sink,
         )
         fabric_result = supervisor.run()
-        stats.shard_deaths = fabric_result.stats.deaths
-        stats.shard_respawns = fabric_result.stats.respawns
-        stats.chaos_kills = fabric_result.stats.chaos_kills
+        stats.fabric = fabric_result.stats
         return self._fold_distributed(
             fabric_result, stats, runs, source, tasks, checkpoint_path
         )
@@ -739,12 +646,14 @@ class FaultInjector:
         ``spec`` is the campaign-reconstruction recipe published in the
         manifest (see :func:`repro.fabric.fleet.build_manifest`);
         ``fingerprint_payload`` is the dict ``fingerprint`` was hashed
-        from, shipped so workers can refuse a tampered manifest.
+        from, shipped so workers can refuse a tampered manifest.  The
+        local fallback's engine counters join the campaign record;
+        remote workers' do not come back.
         """
         # Lazy: repro.fabric depends on this package's harness module.
         from repro.fabric.fleet import FleetSupervisor
 
-        stats = self._stats(runs, fleet_slices=fleet.slices)
+        stats = self._stats(runs)
         source, tasks = self.plan(runs)
         todo, restored = split_resumed(tasks, resume_state)
         donors = self._campaign_cache()
@@ -761,7 +670,7 @@ class FaultInjector:
                 telemetry=self.telemetry,
             )
             if engine is not None:
-                stats.absorb_recovery_stats(engine.stats)
+                merge_record(stats.recovery, engine.stats)
             stats.materialise_seconds += campaign.materialise_seconds
             stats.recovery_seconds += campaign.recovery_seconds
 
@@ -782,14 +691,7 @@ class FaultInjector:
             warn=self.heartbeat_sink,
         )
         fleet_result = supervisor.run()
-        folded = fleet_result.stats
-        stats.fleet_workers = folded.workers
-        stats.fleet_deliveries = folded.deliveries
-        stats.fleet_torn_deliveries = folded.torn_deliveries
-        stats.fleet_releases = folded.releases
-        stats.fleet_duplicate_tasks = folded.duplicate_tasks
-        stats.fleet_transport_retries = folded.transport_retries
-        stats.fleet_local_fallback_tasks = folded.local_fallback_tasks
+        stats.fleet = fleet_result.stats
         return self._fold_distributed(
             fleet_result, stats, runs, source, tasks, checkpoint_path,
             spools=fleet_result.vcache_paths,
@@ -857,14 +759,13 @@ class FaultInjector:
         runs: Sequence[DetectionRun],
         source: CampaignImageSource,
     ) -> FaultInjectionResult:
+        """Fill the campaign record from the folded results — the same
+        way for every executor — and publish it."""
         # Image accounting done in this process: planning, serial
         # execution, fleet local fallback (shards relay theirs through
         # the stats beacon).
-        stats.absorb_image_stats(source.stats)
-        if self.telemetry.enabled:
-            source.stats.publish(
-                self.telemetry.registry, engine=self.image_engine
-            )
+        merge_record(stats.image, source.stats)
+        stats.image_engine = self.image_engine
         findings: List[Finding] = []
         outcomes: List[Tuple[Tuple[str, ...], RecoveryOutcome]] = []
         for result in campaign.results:
@@ -873,6 +774,8 @@ class FaultInjector:
                 stats.adversarial_injections += 1
             if result.restored:
                 stats.resumed += 1
+            else:
+                stats.retries += result.attempts - 1
             if result.quarantine is not None:
                 stats.quarantined += 1
                 continue
@@ -887,14 +790,10 @@ class FaultInjector:
             if result.finding is not None:
                 stats.recovery_failures += 1
                 findings.append(result.finding)
-        stats.retries += campaign.retries
-        stats.image_engine = self.image_engine
         stats.materialise_seconds += campaign.materialise_seconds
         stats.recovery_seconds += campaign.recovery_seconds
         if self.telemetry.enabled:
-            # The registry absorbs the campaign bookkeeping so exporters
-            # and `mumak obs report` see one coherent metric surface.
-            stats.publish(self.telemetry.registry)
+            self._publish(stats, campaign.results)
         comparison = (
             self._compare(findings, stats)
             if self.fault_model.is_adversarial
@@ -909,6 +808,30 @@ class FaultInjector:
             comparison=comparison,
             drained=campaign.drained,
         )
+
+    def _publish(
+        self, stats: FaultInjectionStats, results: Sequence[InjectionResult]
+    ) -> None:
+        """The campaign's one trip to the registry: the record, then the
+        outcome and quarantine tallies of the injections this run
+        executed (restored ones were counted by the run that did)."""
+        registry = self.telemetry.registry
+        stats.publish(registry)
+        for result in results:
+            if result.restored:
+                continue
+            if result.quarantine is not None:
+                registry.counter(
+                    "quarantined_injections",
+                    phase=result.quarantine.phase,
+                    variant=result.task.variant,
+                ).inc()
+            else:
+                registry.counter(
+                    "recovery_outcomes",
+                    status=result.outcome.status.value,
+                    variant=result.task.variant,
+                ).inc()
 
     def _compare(
         self, findings: List[Finding], stats: FaultInjectionStats

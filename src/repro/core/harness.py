@@ -342,7 +342,6 @@ class CampaignResult:
     """Merged, deterministic (index-sorted) results of a campaign."""
 
     results: List[InjectionResult] = field(default_factory=list)
-    retries: int = 0
     #: True when the campaign stopped early on a drain request (graceful
     #: SIGTERM/SIGINT): every completed result was journaled and the
     #: remainder is resumable via the checkpoint.
@@ -536,11 +535,6 @@ def execute_injection(
                     outcome = outcome_from_record(
                         record, stack_key=task.stack
                     )
-                    telemetry.counter(
-                        "recovery_outcomes",
-                        status=outcome.status.value,
-                        variant=task.variant,
-                    )
                     return InjectionResult(
                         task,
                         outcome=outcome,
@@ -595,11 +589,6 @@ def execute_injection(
                 # other points collapsing onto this image should not
                 # each burn a full timeout.
                 recovery.store(digest_value, outcome)
-            telemetry.counter(
-                "recovery_outcomes",
-                status=outcome.status.value,
-                variant=task.variant,
-            )
             return InjectionResult(
                 task,
                 outcome=outcome,
@@ -634,13 +623,6 @@ def execute_injection(
             continue
         if caching and digest_value is not None:
             recovery.store(digest_value, outcome)
-        telemetry.counter(
-            "recovery_outcomes",
-            status=outcome.status.value,
-            variant=task.variant,
-        )
-        if attempts > 1:
-            telemetry.counter("injection_retries", attempts - 1)
         return InjectionResult(
             task,
             outcome=outcome,
@@ -652,11 +634,6 @@ def execute_injection(
             materialise_seconds=mat_seconds,
             recovery_seconds=rec_seconds,
         )
-    telemetry.counter(
-        "quarantined_injections", phase=phase, variant=task.variant
-    )
-    if attempts > 1:
-        telemetry.counter("injection_retries", attempts - 1)
     return InjectionResult(
         task,
         quarantine=QuarantineRecord(
@@ -1162,7 +1139,6 @@ def run_campaign(
     todo, restored = split_resumed(tasks, resume_state)
     for result in restored:
         campaign.results.append(result)
-        telemetry.counter("injections_restored")
         if heartbeat is not None:
             heartbeat.note(result)
 
@@ -1174,7 +1150,6 @@ def run_campaign(
             task, image_source, app_factory, config, sleep=sleep,
             telemetry=telemetry, recovery=recovery,
         )
-        campaign.retries += result.attempts - 1
         campaign.results.append(result)
         if journal is not None:
             _record_checkpoint(journal, result, telemetry)

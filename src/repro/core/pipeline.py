@@ -517,16 +517,6 @@ class Mumak:
                         usage,
                         resumed,
                     )
-            # Surface the hot-path breakdown: how much of the injection
-            # phase went to image materialisation vs oracle recovery.
-            usage.note_detail(
-                "fault_injection.materialise",
-                fi_result.stats.materialise_seconds,
-            )
-            usage.note_detail(
-                "fault_injection.recovery",
-                fi_result.stats.recovery_seconds,
-            )
             report.extend(fi_result.findings)
             report.extend_quarantined(fi_result.quarantined)
             report.set_model_comparison(fi_result.comparison)

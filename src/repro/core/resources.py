@@ -30,20 +30,10 @@ class ResourceUsage:
     pool_bytes: int = 0
     #: Bytes written to the campaign checkpoint journal (0 = disabled).
     checkpoint_bytes: int = 0
-    #: Sub-phase wall-clock detail (e.g. ``fault_injection.materialise``
-    #: vs ``fault_injection.recovery``).  Kept separate from
-    #: :attr:`phase_seconds` so :attr:`total_seconds` never double-counts
-    #: a phase and its own breakdown.
-    detail_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
         return sum(self.phase_seconds.values())
-
-    def note_detail(self, name: str, seconds: float) -> None:
-        self.detail_seconds[name] = (
-            self.detail_seconds.get(name, 0.0) + seconds
-        )
 
     def ram_overhead(self, app_bytes: int) -> float:
         """Peak RAM relative to the vanilla application's working set."""
@@ -63,18 +53,14 @@ class ResourceUsage:
     def publish(self, registry) -> None:
         """Absorb this accounting into a metrics registry.
 
-        Phase and sub-phase wall-clock become ``phase_seconds`` /
-        ``detail_seconds`` counters (labelled by phase); the byte and
-        load figures become gauges.  One-way, observation-only — the
-        registry never feeds back into the analysis.
+        Phase wall-clock becomes ``phase_seconds`` counters (labelled by
+        phase); the byte and load figures become gauges.  One-way,
+        observation-only — the registry never feeds back into the
+        analysis.
         """
         for phase in sorted(self.phase_seconds):
             registry.counter("phase_seconds", phase=phase).inc(
                 self.phase_seconds[phase]
-            )
-        for detail in sorted(self.detail_seconds):
-            registry.counter("detail_seconds", phase=detail).inc(
-                self.detail_seconds[detail]
             )
         registry.gauge("peak_tool_bytes").set(self.peak_tool_bytes)
         registry.gauge("tool_pm_bytes").set(self.tool_pm_bytes)
@@ -106,8 +92,8 @@ class PhaseTimer:
         if self._entered:
             raise RuntimeError(
                 f"PhaseTimer already timing {self._phase!r}; nested use "
-                "would mis-attribute time — use a second PhaseTimer or "
-                "ResourceUsage.note_detail for sub-phases"
+                "would mis-attribute time — use a second PhaseTimer for "
+                "sub-phases"
             )
         self._phase = name
         return self
@@ -122,8 +108,8 @@ class PhaseTimer:
         if self._entered:
             raise RuntimeError(
                 f"PhaseTimer already timing {self._phase!r}; nested use "
-                "would mis-attribute time — use a second PhaseTimer or "
-                "ResourceUsage.note_detail for sub-phases"
+                "would mis-attribute time — use a second PhaseTimer for "
+                "sub-phases"
             )
         self._entered = True
         self._start = time.perf_counter()

@@ -113,8 +113,6 @@ class FleetConfig:
     drain_grace_seconds: float = 2.0
     #: Transport-operation retries before an operation is abandoned.
     transport_retries: int = 4
-    #: Base of the deterministic lease-reclaim backoff (0 = immediate).
-    reclaim_backoff_base: float = 0.0
     #: Seeded transport faults applied by *workers* (None = off).
     chaos: Optional[TransportChaosConfig] = None
 
@@ -127,7 +125,8 @@ class FleetConfig:
 
 @dataclasses.dataclass
 class FleetStats:
-    """Supervisor bookkeeping (folded into the campaign stats)."""
+    """Supervisor bookkeeping; the campaign record nests it and
+    publishes it as ``fleet_*``."""
 
     slices: int = 0
     workers: int = 0
@@ -175,7 +174,6 @@ def build_manifest(
         "seed": seed,
         "slices": config.slices,
         "ttl_seconds": config.ttl_seconds,
-        "reclaim_backoff_base": config.reclaim_backoff_base,
         "transport_chaos": (
             config.chaos.spec()
             if config.chaos is not None and config.chaos.enabled
@@ -321,9 +319,8 @@ class FleetSupervisor:
     # -- transport plumbing -------------------------------------------- #
 
     def _count_retry(self, _attempt: int) -> None:
-        # Stats only: FaultInjectionStats.publish() exports the bare
-        # fleet_* counters exactly once at campaign end — incrementing
-        # the registry here too would double-count them.
+        # Stats only: the campaign record exports fleet_* once, at
+        # campaign end; a registry write here would double-count.
         self.stats.transport_retries += 1
 
     def _reliable(self, operation, *args, key: str):
@@ -772,7 +769,6 @@ def run_fleet_worker(
         slices,
         manifest["ttl_seconds"],
         holder=worker_id,
-        reclaim_backoff_base=manifest.get("reclaim_backoff_base", 0.0),
     )
     try:
         base.put(WORKER_PREFIX + worker_id, b"enrolled")

@@ -15,8 +15,8 @@ campaign down.  The fabric closes that gap:
   truth, the event pipe is advisory);
 * the supervisor detects shard death (process exit with work remaining)
   and requeues the *remaining* slice — computed from the shard journal,
-  never from in-memory state — onto a respawned worker after a
-  deterministic backoff; a shard that dies past ``max_respawns`` fails
+  never from in-memory state — onto a worker respawned at the next
+  tick; a shard that dies past ``max_respawns`` fails
   the campaign loudly (:class:`~repro.errors.FabricError`);
 * per-shard liveness rides on the heartbeat events shards emit; the
   (parent-side) :class:`~repro.obs.HeartbeatMonitor` turns silence into
@@ -52,11 +52,7 @@ import time
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.core.harness import (
-    deterministic_backoff,
-    journal_mismatch,
-    scan_journal,
-)
+from repro.core.harness import journal_mismatch, scan_journal
 from repro.errors import CheckpointError, FabricError
 from repro.fabric.chaos import ChaosConfig, ChaosMonkey
 from repro.fabric.merge import (
@@ -90,8 +86,6 @@ class FabricConfig:
     drain_grace_seconds: float = 10.0
     #: Shard deaths tolerated per shard before the campaign fails.
     max_respawns: int = 8
-    #: Base of the deterministic respawn backoff (0 = immediate).
-    respawn_backoff_base: float = 0.0
 
     def __post_init__(self):
         if self.shards < 1:
@@ -102,7 +96,8 @@ class FabricConfig:
 
 @dataclasses.dataclass
 class FabricStats:
-    """Supervisor bookkeeping (folded into the campaign stats)."""
+    """Supervisor bookkeeping; the campaign record nests it and
+    publishes it as ``fabric_*``."""
 
     shards: int = 0
     spawns: int = 0
@@ -190,7 +185,6 @@ class _Shard:
     queue: object
     process: object = None
     respawns: int = 0
-    respawn_at: float = 0.0
     done: bool = False
 
 
@@ -418,7 +412,6 @@ class ShardSupervisor:
             pid=process.pid,
             kills=self._monkey.kills,
         )
-        self.telemetry.counter("fabric_chaos_kills")
 
     # -- the supervision loop ------------------------------------------- #
 
@@ -479,7 +472,7 @@ class ShardSupervisor:
                 self.telemetry.event("fabric/drain_escalated")
                 self._signal_all(signal.SIGKILL)
             self._pump_events(draining)
-            self._reap(draining, now)
+            self._reap(draining)
             if self.heartbeat is not None:
                 self.heartbeat.check_stalls()
             time.sleep(self.config.tick_seconds)
@@ -488,17 +481,17 @@ class ShardSupervisor:
         if self.heartbeat is not None:
             self.heartbeat.finish()
 
-    def _reap(self, draining: bool, now: float) -> None:
+    def _reap(self, draining: bool) -> None:
         for shard in self._shards:
             if shard.done:
                 continue
             process = shard.process
             if process is None:
-                # Waiting out a respawn backoff.
+                # Died last tick: respawn it, unless draining.
                 if draining:
                     shard.done = True
                     self.stats.drained_shards += 1
-                elif now >= shard.respawn_at:
+                else:
                     self._spawn(shard, self._remaining(shard))
                 continue
             if process.is_alive():
@@ -523,11 +516,9 @@ class ShardSupervisor:
                     remaining=len(remaining),
                 )
             else:
-                self._on_death(shard, exitcode, remaining, now)
+                self._on_death(shard, exitcode, remaining)
 
-    def _on_death(
-        self, shard: _Shard, exitcode, remaining: list, now: float
-    ) -> None:
+    def _on_death(self, shard: _Shard, exitcode, remaining: list) -> None:
         self.stats.deaths += 1
         shard.respawns += 1
         self.telemetry.event(
@@ -537,7 +528,6 @@ class ShardSupervisor:
             remaining=len(remaining),
             respawns=shard.respawns,
         )
-        self.telemetry.counter("fabric_shard_deaths")
         if shard.respawns > self.config.max_respawns:
             raise FabricError(
                 f"shard {shard.id} died {shard.respawns} times "
@@ -548,12 +538,6 @@ class ShardSupervisor:
             )
         shard.process = None
         self.stats.respawns += 1
-        backoff = deterministic_backoff(
-            f"shard-{shard.id}",
-            shard.respawns,
-            self.config.respawn_backoff_base,
-        )
-        shard.respawn_at = now + backoff
 
     # -- merge ---------------------------------------------------------- #
 

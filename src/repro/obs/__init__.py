@@ -3,10 +3,12 @@
 Dependency-free telemetry for the injection pipeline, in four pieces:
 
 * :mod:`repro.obs.metrics` — the process-wide metrics registry
-  (counters, gauges, fixed-log-bucket histograms) that absorbs the
-  ad-hoc counters previously scattered across ``ResourceUsage``, the
-  incremental engine's pool/copy stats, and the harness retry/quarantine
-  bookkeeping (each of those now ``publish()``-es itself here);
+  (counters, gauges, fixed-log-bucket histograms) and the generic walk
+  that merges and publishes dataclass records: the campaign record
+  (``FaultInjectionStats``, which nests the image source's, recovery
+  engine's and supervisors' records) reaches the registry once per
+  campaign, each number under one name, and ``ResourceUsage`` adds the
+  phase times and gauges;
 * :mod:`repro.obs.spans` — hierarchical spans and the per-campaign JSONL
   event stream (every event: ``ts``/``span``/``seq``/``worker``),
   seq-stamped in a deterministic order at finalize;

@@ -1,12 +1,16 @@
 """Process-wide metrics registry (counters, gauges, histograms).
 
-The registry is the single home for the numeric telemetry that used to be
-scattered across ad-hoc dataclasses (``ResourceUsage``'s phase/detail
-maps, the incremental engine's pool/copy counters, the harness
-retry/quarantine stats).  Those dataclasses remain the *source of truth*
-for their subsystems — the registry **absorbs** them (see the
-``publish``/``absorb_*`` bridges) so every number is queryable and
-exportable through one interface.
+The registry is the queryable, exportable face of a campaign's numbers.
+Each subsystem keeps its counters as plain attribute increments on a
+small dataclass record — the image source's
+:class:`~repro.pmem.incremental.ImageEngineStats`, the recovery engine's
+:class:`~repro.recovery.RecoveryEngineStats`, the shard and fleet
+supervisors' stats — and the campaign record
+(:class:`~repro.core.fault_injection.FaultInjectionStats`) nests them.
+:func:`merge_record` folds one record into another (or a relayed
+``dataclasses.asdict`` of one) and :func:`publish_record` exports one as
+``<prefix>_<field>`` counters, so the campaign record reaches the
+registry once per campaign and every number has exactly one name.
 
 Design constraints, inherited from the campaign's determinism contract:
 
@@ -25,6 +29,7 @@ Design constraints, inherited from the campaign's determinism contract:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Fixed log-scale histogram bucket upper bounds, in seconds: half-decade
@@ -267,10 +272,46 @@ class MetricsRegistry:
         return out
 
 
+# --------------------------------------------------------------------- #
+# dataclass records
+# --------------------------------------------------------------------- #
+
+
+def _record_counts(record) -> Dict[str, float]:
+    """A dataclass record's numeric fields, by name.  Strings, None and
+    nested records are not counts."""
+    counts = {}
+    for spec in dataclasses.fields(record):
+        value = getattr(record, spec.name)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            counts[spec.name] = value
+    return counts
+
+
+def merge_record(into, other) -> None:
+    """Add ``other`` — a record of ``into``'s type, or the
+    ``dataclasses.asdict`` of one relayed from another process — into
+    the record ``into``, field by field."""
+    values = other if isinstance(other, dict) else _record_counts(other)
+    for name, value in _record_counts(into).items():
+        setattr(into, name, value + values.get(name, 0))
+
+
+def publish_record(registry, prefix: str, record, exclude=(), **labels):
+    """Export a record's numeric fields as ``<prefix>_<field>``
+    counters carrying ``labels``, except the fields named in
+    ``exclude``."""
+    for name, value in sorted(_record_counts(record).items()):
+        if name not in exclude:
+            registry.counter(f"{prefix}_{name}", **labels).inc(value)
+
+
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "LOG_BUCKET_BOUNDS",
     "MetricsRegistry",
+    "merge_record",
+    "publish_record",
 ]

@@ -83,7 +83,8 @@ class ImageEngineStats:
     bytes undone on pooled buffers.  For the incremental engine the sum
     of the latter two is the O(changed bytes) cost the tentpole claims;
     for the replay reference ``bytes_copied`` grows as O(P·S) and
-    ``delta_bytes_applied`` as O(P·T).
+    ``delta_bytes_applied`` as O(P·T).  The campaign record nests these
+    counters and publishes them as ``image_engine_*{engine}``.
     """
 
     images: int = 0
@@ -96,41 +97,6 @@ class ImageEngineStats:
     #: Full persistence-state-machine passes (replay reference only;
     #: the incremental index performs exactly one, at construction).
     history_passes: int = 0
-
-    def merge(self, other: "ImageEngineStats") -> None:
-        self.images += other.images
-        self.bytes_copied += other.bytes_copied
-        self.delta_bytes_applied += other.delta_bytes_applied
-        self.dirty_bytes_restored += other.dirty_bytes_restored
-        self.full_rebuilds += other.full_rebuilds
-        self.pool_hits += other.pool_hits
-        self.pool_misses += other.pool_misses
-        self.history_passes += other.history_passes
-
-    def as_dict(self) -> dict:
-        return {
-            "images": self.images,
-            "bytes_copied": self.bytes_copied,
-            "delta_bytes_applied": self.delta_bytes_applied,
-            "dirty_bytes_restored": self.dirty_bytes_restored,
-            "full_rebuilds": self.full_rebuilds,
-            "pool_hits": self.pool_hits,
-            "pool_misses": self.pool_misses,
-            "history_passes": self.history_passes,
-        }
-
-    def publish(self, registry, engine: str = "") -> None:
-        """Absorb these counters into a :mod:`repro.obs` metrics registry.
-
-        Called once per campaign at stats-collection time (the engine's
-        own counters stay the hot-path source of truth; the registry is
-        the queryable/exportable face).  All metrics are labelled with
-        the materialising engine so replay-vs-incremental comparisons
-        survive in one snapshot.
-        """
-        labels = {"engine": engine} if engine else {}
-        for name, value in sorted(self.as_dict().items()):
-            registry.counter(f"image_engine_{name}", **labels).inc(value)
 
 
 # --------------------------------------------------------------------- #

@@ -75,7 +75,8 @@ class RecoveryEngineConfig:
 
 @dataclasses.dataclass
 class RecoveryEngineStats:
-    """Counters the engine publishes (``recovery_engine_*``)."""
+    """The engine's counters; the campaign record nests them and
+    publishes them as ``recovery_engine_*``."""
 
     cache_hits: int = 0
     cache_misses: int = 0
@@ -84,13 +85,6 @@ class RecoveryEngineStats:
     cache_bytes_written: int = 0
     pool_boots: int = 0
     pool_reuses: int = 0
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def publish(self, registry):
-        for name, value in sorted(self.as_dict().items()):
-            registry.counter(f"recovery_engine_{name}").inc(value)
 
 
 class RecoveryEngine:

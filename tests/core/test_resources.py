@@ -43,24 +43,6 @@ class TestResourceUsage:
         usage = ResourceUsage(pool_bytes=0, tool_pm_bytes=4096)
         assert usage.pm_overhead() == 1.0
 
-    def test_note_detail_accumulates(self):
-        usage = ResourceUsage()
-        usage.note_detail("fault_injection.materialise", 0.25)
-        usage.note_detail("fault_injection.materialise", 0.5)
-        usage.note_detail("fault_injection.recovery", 1.0)
-        assert usage.detail_seconds == {
-            "fault_injection.materialise": 0.75,
-            "fault_injection.recovery": 1.0,
-        }
-
-    def test_detail_seconds_do_not_inflate_total(self):
-        # total_seconds sums phases only; a phase's own breakdown must
-        # never be double-counted.
-        usage = ResourceUsage()
-        usage.phase_seconds["fault_injection"] = 2.0
-        usage.note_detail("fault_injection.materialise", 1.5)
-        assert usage.total_seconds == 2.0
-
     def test_publish_into_registry(self):
         from repro.obs import MetricsRegistry
 
@@ -68,16 +50,12 @@ class TestResourceUsage:
             pool_bytes=100, tool_pm_bytes=7, checkpoint_bytes=33
         )
         usage.phase_seconds["fault_injection"] = 2.0
-        usage.note_detail("fault_injection.recovery", 1.25)
         usage.note_bytes(512)
         registry = MetricsRegistry()
         usage.publish(registry)
         assert registry.total(
             "phase_seconds", phase="fault_injection"
         ) == 2.0
-        assert registry.total(
-            "detail_seconds", phase="fault_injection.recovery"
-        ) == 1.25
         assert registry.total("peak_tool_bytes") == 512
         assert registry.total("checkpoint_bytes") == 33
 

@@ -105,9 +105,9 @@ class TestFleetEqualsSerial:
         stats = result.fault_injection.stats
         assert open(ckpt, "rb").read() == serial["journal"]
         assert result.report.render() == serial["render"]
-        assert stats.fleet_slices == 4
-        assert stats.fleet_workers == 0
-        assert stats.fleet_local_fallback_tasks == stats.injections
+        assert stats.fleet.slices == 4
+        assert stats.fleet.workers == 0
+        assert stats.fleet.local_fallback_tasks == stats.injections
         assert find_shard_journals(ckpt) == []  # artifacts retired
 
     def test_thread_worker_serves_every_slice(self, serial, tmp_path):
@@ -124,10 +124,10 @@ class TestFleetEqualsSerial:
         stats = result.fault_injection.stats
         assert open(ckpt, "rb").read() == serial["journal"]
         assert result.report.render() == serial["render"]
-        assert stats.fleet_workers == 1
-        assert stats.fleet_deliveries >= 4  # one per slice
-        assert stats.fleet_duplicate_tasks == 0
-        assert stats.fleet_local_fallback_tasks == 0
+        assert stats.fleet.workers == 1
+        assert stats.fleet.deliveries >= 4  # one per slice
+        assert stats.fleet.duplicate_tasks == 0
+        assert stats.fleet.local_fallback_tasks == 0
         summary = summaries[0]
         assert summary.claims == 4
         assert summary.tasks_run == stats.injections
@@ -163,10 +163,10 @@ class TestFleetEqualsSerial:
         stats = result.fault_injection.stats
         assert open(ckpt, "rb").read() == serial["journal"]
         assert result.report.render() == serial["render"]
-        assert stats.fleet_deliveries > 0
+        assert stats.fleet.deliveries > 0
         # The seeded schedule duplicates at least one delivery; the
         # merge counts and discards the overlap instead of re-folding.
-        assert stats.fleet_duplicate_tasks > 0
+        assert stats.fleet.duplicate_tasks > 0
 
     def test_two_workers_under_chaos_match(self, serial, tmp_path):
         fleet = str(tmp_path / "fleet")

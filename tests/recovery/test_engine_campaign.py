@@ -149,7 +149,7 @@ class TestEngineEquivalence:
         aliases them by digest, findings unchanged."""
         dense = dict(require_store_since_last=False)
         on = run("btree", "prefix", **dense)
-        assert on.fault_injection.stats.recovery_cache_hits > 0
+        assert on.fault_injection.stats.recovery.cache_hits > 0
         off = run("btree", "prefix", **dense, **ENGINE_OFF)
         assert fingerprintable(on) == fingerprintable(off)
         assert on.report.render() == off.report.render()
@@ -181,9 +181,9 @@ class TestCachePersistence:
         first = run("hashmap_atomic", "torn_media", recovery_cache=cache)
         warm = run("hashmap_atomic", "torn_media", recovery_cache=cache)
         stats = warm.fault_injection.stats
-        assert stats.recovery_cache_loaded > 0
-        assert stats.recovery_cache_hits > 0
-        assert stats.recovery_cache_misses == 0
+        assert stats.recovery.cache_loaded > 0
+        assert stats.recovery.cache_hits > 0
+        assert stats.recovery.cache_misses == 0
         assert fingerprintable(warm) == fingerprintable(first)
         assert warm.report.render() == first.report.render()
 
@@ -208,16 +208,16 @@ class TestCachePersistence:
 class TestEngineAccounting:
     def test_stats_surface_the_engine(self):
         stats = run("btree", "prefix").fault_injection.stats
-        assert stats.recovery_cache_misses > 0
-        assert stats.recovery_cache_stored > 0
-        assert stats.recovery_pool_boots >= 1
-        assert stats.recovery_pool_reuses > 0
+        assert stats.recovery.cache_misses > 0
+        assert stats.recovery.cache_stored > 0
+        assert stats.recovery.pool_boots >= 1
+        assert stats.recovery.pool_reuses > 0
 
     def test_engine_off_reports_zeroes(self):
         stats = run(
             "hashmap_atomic", "prefix", **ENGINE_OFF
         ).fault_injection.stats
-        assert stats.recovery_cache_hits == 0
-        assert stats.recovery_cache_misses == 0
-        assert stats.recovery_pool_boots == 0
-        assert stats.recovery_pool_reuses == 0
+        assert stats.recovery.cache_hits == 0
+        assert stats.recovery.cache_misses == 0
+        assert stats.recovery.pool_boots == 0
+        assert stats.recovery.pool_reuses == 0

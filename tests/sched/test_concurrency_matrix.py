@@ -87,7 +87,7 @@ class TestMatrix:
         """Interleavings with the same persisted-write extent bytes must
         collapse onto one verdict-cache digest (DPOR-style pruning)."""
         stats = run(name).fault_injection.stats
-        assert stats.recovery_cache_hits > 0
+        assert stats.recovery.cache_hits > 0
 
     @pytest.mark.parametrize("name", sorted(MATRIX))
     def test_schedule_stats_are_surfaced(self, name):

@@ -2,6 +2,8 @@
 resume hint, the ``mumak fleet worker`` subcommand, and the fleet
 sections of the summary and ``mumak obs report``."""
 
+import shlex
+
 import pytest
 
 from repro.cli import _resume_flags, build_parser, main
@@ -89,6 +91,19 @@ class TestResumeHint:
             "mumak analyze btree --checkpoint ck.jsonl --resume "
             "--shards 4 --chaos kill-worker=0.5"
         )
+
+    def test_hint_reparses_to_the_same_campaign(self):
+        """The workload, seed and fault model ride along too: pasting
+        the hint resumes this campaign, not another one."""
+        args = build_parser().parse_args([
+            "analyze", "rbtree", "--ops", "40", "--seed", "3", "--spt",
+            "--bugs", "none", "--fault-model", "torn",
+            "--checkpoint", "ck.jsonl",
+        ])
+        hint = shlex.split(_resume_flags(args))
+        assert hint[0] == "mumak"
+        resumed = build_parser().parse_args(hint[1:])
+        assert vars(resumed) == dict(vars(args), resume=True)
 
     def test_drain_notice_carries_the_full_hint(self):
         notices = []
