@@ -262,5 +262,5 @@ def test_injection_hotpath(record_result):
         )
     # The asymptotic signature, independent of machine speed: replay
     # copies the full pool once per failure point, the incremental
-    # engine once per pooled buffer.
+    # engine the persisted-write extent once per pooled buffer.
     assert largest["copy_reduction"] > 10.0

@@ -41,6 +41,7 @@ from repro.instrument.tracer import MinimalTracer
 from repro.pmem import PMachine
 from repro.pmem.crashsim import drop_one_line_images, strict_image
 from repro.pmem.events import Opcode
+from repro.recovery import persisted_write_extent
 
 #: Intra-operation fences at which adversarial reorderings are generated.
 _FENCES_PER_OP = 3
@@ -95,13 +96,20 @@ class Witcher(DetectionTool):
         )
         trace = tracer.events
         meter.charge(len(trace) * COST_LIGHT_INSTRUMENTATION * 2)
+        pool_size = artifacts.machine.medium.size
         # Unbounded parallel bookkeeping: the memory model that exhausted
         # the paper's 256 GB machine.
         usage.note_bytes(
-            _PARALLEL_WORKERS * (
-                artifacts.machine.medium.size + len(trace) * 80
-            )
+            _PARALLEL_WORKERS * (pool_size + len(trace) * 80)
         )
+        # Images are built only up to the end of the trace's persisted
+        # writes: the initial image is a fresh pool's (zero), so every
+        # image is zero above it, and each boots on the full logical
+        # pool.  The cost model still charges a whole pool per image.
+        extent = persisted_write_extent(trace)
+        initial = artifacts.initial_image
+        if extent is not None:
+            initial = initial[:extent[1]]
         # Output-equivalence model: the acceptable value set per key after
         # each op prefix.
         model_before: Dict[bytes, bytes] = {}
@@ -124,26 +132,23 @@ class Witcher(DetectionTool):
             if len(fences) > _FENCES_PER_OP:
                 step = len(fences) // _FENCES_PER_OP
                 fences = fences[::step][:_FENCES_PER_OP]
-            images = [strict_image(artifacts.initial_image, trace, boundary)]
+            images = [strict_image(initial, trace, boundary)]
             for fence_seq in fences:
-                images.extend(
-                    drop_one_line_images(
-                        artifacts.initial_image, trace, fence_seq
-                    )
-                )
+                images.extend(drop_one_line_images(initial, trace, fence_seq))
             model_after = dict(model_before)
             if op.kind in ("put", "update"):
                 model_after[op.key] = op.value
             elif op.kind == "delete":
                 model_after.pop(op.key, None)
             for image in images:
-                meter.charge(len(image) * COST_IMAGE_BYTE)
+                meter.charge(pool_size * COST_IMAGE_BYTE)
                 meter.charge(len(model_after) * COST_OUTPUT_CHECK * 4)
                 if meter.exhausted:
                     break
                 checks_run += 1
                 finding = self._output_check(
-                    app_factory, image, model_before, model_after, op_index
+                    app_factory, image, pool_size, model_before,
+                    model_after, op_index,
                 )
                 if finding is not None:
                     report.add(finding)
@@ -153,9 +158,11 @@ class Witcher(DetectionTool):
             len(op_boundaries), len(workload)
         )
 
-    def _output_check(self, app_factory, image, before, after, op_index):
+    def _output_check(
+        self, app_factory, image, pool_size, before, after, op_index
+    ):
         app = app_factory()
-        machine = PMachine.from_image(image)
+        machine = PMachine.from_image(image, pm_size=pool_size)
         try:
             app.recover(machine)
         except RecoveryError:
@@ -177,7 +184,9 @@ class Witcher(DetectionTool):
                 site=f"op#{op_index}",
                 seq=op_index,
             )
-        for key in set(before) | set(after):
+        # Sorted: the first mismatching key names the finding, and set
+        # order would make it depend on the process's hash seed.
+        for key in sorted(set(before) | set(after)):
             acceptable = {before.get(key), after.get(key)}
             try:
                 observed = app.get(key)

@@ -75,11 +75,7 @@ from repro.pmem.incremental import (
     validate_image_engine,
 )
 from repro.pmem.machine import PMachine
-from repro.recovery import (
-    RecoveryEngine,
-    RecoveryEngineStats,
-    persisted_write_extent,
-)
+from repro.recovery import RecoveryEngine, RecoveryEngineStats
 from repro.recovery.engine import CACHE_SUFFIX
 
 if TYPE_CHECKING:
@@ -278,23 +274,22 @@ class FaultInjector:
     # the shared campaign pieces
     # ------------------------------------------------------------------ #
 
-    def recovery_engine(self, runs, journal_path=None, donors=()):
-        """The recovery engine of a campaign over ``runs``, or None when
-        disabled.
+    def recovery_engine(self, source, journal_path=None, donors=()):
+        """The recovery engine of the campaign ``source`` serves, or None
+        when disabled.
 
-        Digests cover the union of every run's persisted-write extent, so
-        two crash images that agree on every byte any run ever persisted
-        — equivalent interleavings, DPOR-style — collapse to one verdict
-        within and across runs, and every engine of one campaign (local,
-        shard, or fleet slice) hashes the same bytes.  With
-        ``journal_path`` the engine serves one shard or fleet slice
+        Digests cover the source's extent, the union of every run's
+        persisted-write extent, so two crash images that agree on every
+        byte any run ever persisted — equivalent interleavings,
+        DPOR-style — collapse to one verdict within and across runs, and
+        every engine of one campaign (local, shard, or fleet slice)
+        hashes the same bytes.  With ``journal_path`` the engine serves
+        one shard or fleet slice
         (:meth:`repro.recovery.RecoveryEngine.for_slice`).
         """
         if self.recovery is None or not self.recovery.enabled:
             return None
-        extent = persisted_write_extent(
-            event for run in runs for event in run.trace
-        )
+        extent = source.extent
         if journal_path is not None:
             return RecoveryEngine.for_slice(
                 self.recovery, extent, journal_path, donors
@@ -460,7 +455,7 @@ class FaultInjector:
         if self.engine == ENGINE_REPLAY:
             reexecute = _Reexecution(self, app_factory, workload, seed)
         source, tasks = self.plan(runs, reexecute=reexecute)
-        engine = self.recovery_engine(runs)
+        engine = self.recovery_engine(source)
         campaign = run_campaign(
             tasks,
             source,
@@ -481,7 +476,6 @@ class FaultInjector:
 
     def run_slice(
         self,
-        runs: Sequence[DetectionRun],
         source: CampaignImageSource,
         tasks: Sequence[InjectionTask],
         app_factory,
@@ -507,7 +501,7 @@ class FaultInjector:
         )
         engine = None
         try:
-            engine = self.recovery_engine(runs, journal_path, donors)
+            engine = self.recovery_engine(source, journal_path, donors)
             campaign = run_campaign(
                 tasks,
                 source,
@@ -569,7 +563,7 @@ class FaultInjector:
             # shard adds, or the parent would count planning per shard.
             image_baseline = dataclasses.asdict(source.stats)
             campaign, engine = self.run_slice(
-                runs, source, shard_tasks, app_factory, journal_path,
+                source, shard_tasks, app_factory, journal_path,
                 fingerprint, seed, donors=donors, heartbeat=beacon,
                 stop=stop,
             )
@@ -664,7 +658,7 @@ class FaultInjector:
             merge machinery picks it up.  Verdicts that made it back
             over the transport are just as good locally."""
             campaign, engine = self.run_slice(
-                runs, source, slice_tasks, app_factory, journal_path,
+                source, slice_tasks, app_factory, journal_path,
                 fingerprint, seed,
                 donors=donors + supervisor.vcache_paths, stop=stop,
                 telemetry=self.telemetry,

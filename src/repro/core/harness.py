@@ -50,6 +50,7 @@ from repro.core.taxonomy import BugKind
 from repro.errors import CheckpointError, WatchdogTimeout
 from repro.obs.spans import NULL_TELEMETRY
 from repro.recovery.cache import outcome_from_record
+from repro.recovery.digest import persisted_write_extent
 from repro.pmem.faultmodel import (
     VARIANT_PREFIX,
     AdversarialImageFactory,
@@ -684,6 +685,13 @@ class CampaignImageSource:
     and every builder.  Tasks arrive run by run, so only the current
     run's prefix builder is kept; a task of an earlier run (a fleet
     requeue) rebuilds its run's.
+
+    :attr:`extent` is the campaign's persisted-write extent over every
+    run: every crash image differs from the pristine pool only inside
+    it.  The verdict digester hashes it, and the incremental engine
+    backs its running image, its pooled buffers and every variant patch
+    only up to its end; the buffers keep the pool's logical size, so
+    recovery boots on the full pool.
     """
 
     def __init__(
@@ -697,6 +705,9 @@ class CampaignImageSource:
         self.fault_model = fault_model or FaultModelConfig()
         self.stats = ImageEngineStats()
         self._runs = {run.sched: run for run in runs}
+        self.extent = persisted_write_extent(
+            event for run in runs for event in run.trace
+        )
         self._reexecute = reexecute
         self._factories: Dict[int, AdversarialImageFactory] = {}
         #: The current run's schedule id and prefix builder.
@@ -710,10 +721,28 @@ class CampaignImageSource:
         if factory is None:
             run = self._runs[sched]
             factory = self._factories[sched] = AdversarialImageFactory(
-                self.fault_model, run.initial_image, run.trace,
+                self.fault_model, self._initial(run), run.trace,
                 image_engine=self.image_engine, stats=self.stats,
             )
         return factory
+
+    def _initial(self, run) -> bytes:
+        """The run's initial image, cut at the extent's end when the
+        incremental engine builds the campaign's images from it.
+
+        Every initial image is the snapshot of a freshly booted machine
+        (``run_instrumented``, ``run_scheduled``), so it is zero above
+        the extent, and so is every crash image built from it: the
+        extent-backed medium recovery boots on reads exactly those
+        zeros.  The extent is line-aligned and covers every traced
+        write, so no builder clips a write at the cut.  The replay
+        image engine keeps the full pool, and so does a campaign that
+        persists nothing (no extent).
+        """
+        incremental = self.image_engine == ENGINE_IMAGE_INCREMENTAL
+        if self.extent is None or not incremental:
+            return run.initial_image
+        return run.initial_image[:self.extent[1]]
 
     def _engine(self, sched: int) -> IncrementalImageEngine:
         if self._current is None or self._current[0] != sched:
@@ -721,7 +750,8 @@ class CampaignImageSource:
             self._current = (
                 sched,
                 IncrementalImageEngine(
-                    run.initial_image, run.trace, stats=self.stats
+                    self._initial(run), run.trace, stats=self.stats,
+                    image_size=len(run.initial_image),
                 ),
             )
         return self._current[1]

@@ -758,7 +758,7 @@ def run_fleet_worker(
 
     # -- rebuild the campaign (one instrumented run per worker) --------- #
     say(f"[fleet:{worker_id}] rebuilding campaign {fingerprint[:12]}…")
-    injector, runs, source, tasks, app_factory = _rebuild_campaign(spec)
+    injector, source, tasks, app_factory = _rebuild_campaign(spec)
     say(
         f"[fleet:{worker_id}] warm: {len(tasks)} task(s) across "
         f"{slices} slice(s)"
@@ -843,7 +843,6 @@ def run_fleet_worker(
                 source,
                 app_factory,
                 injector,
-                runs,
                 fingerprint,
                 seed,
                 worker,
@@ -955,7 +954,7 @@ def _rebuild_campaign(spec: dict):
     )
     runs = [injector.detect(app_factory, workload, spec["seed"])]
     source, tasks = injector.plan(runs)
-    return injector, runs, source, tasks, app_factory
+    return injector, source, tasks, app_factory
 
 
 def _run_lease(
@@ -966,7 +965,6 @@ def _run_lease(
     source,
     app_factory,
     injector,
-    runs,
     fingerprint: str,
     seed: int,
     worker: _WorkerIO,
@@ -1006,7 +1004,7 @@ def _run_lease(
     # Every shipped verdict is adopted before running: a re-leased or
     # duplicated slice replays from memory instead of re-verifying.
     _, engine = injector.run_slice(
-        runs, source, slice_tasks, app_factory, journal_path, fingerprint,
+        source, slice_tasks, app_factory, journal_path, fingerprint,
         seed, donors=shipped_caches(),
         heartbeat=_WorkerBeacon(worker, queue, lease, stop), stop=stop,
     )

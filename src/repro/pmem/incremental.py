@@ -167,13 +167,22 @@ class MaterialisedImage:
     the factory records every range it rewrites through :meth:`patched`
     and sets :attr:`poisoned_lines` for a media variant, and the next
     checkout reverts the patch together with the recovery writes.
+
+    The buffer may hold only the low bytes of the image: ``size`` is the
+    image's logical size (the pool's), every byte above the buffer is
+    zero, and ``len()`` and ``bytes()`` are those of the full logical
+    image.  Recovery may grow the buffer past where it started (the
+    adopting medium backs every write); the next checkout cuts it back.
     """
 
-    __slots__ = ("pm_buffer", "version", "abandoned", "poisoned_lines",
-                 "_write_log", "_patches")
+    __slots__ = ("pm_buffer", "size", "version", "abandoned",
+                 "poisoned_lines", "_write_log", "_patches")
 
-    def __init__(self, buffer: bytearray, version: int):
+    def __init__(
+        self, buffer: bytearray, version: int, size: Optional[int] = None
+    ):
         self.pm_buffer = buffer
+        self.size = len(buffer) if size is None else size
         self.version = version
         self.abandoned = False
         #: Poisoned cache-line bases of the media variant patched on.
@@ -221,13 +230,12 @@ class MaterialisedImage:
     # -- bytes-like conveniences --------------------------------------- #
 
     def __len__(self) -> int:
-        return len(self.pm_buffer)
+        return self.size
 
     def __bytes__(self) -> bytes:
-        return bytes(self.pm_buffer)
+        return bytes(self.pm_buffer).ljust(self.size, b"\0")
 
-    def tobytes(self) -> bytes:
-        return bytes(self.pm_buffer)
+    tobytes = __bytes__
 
 
 class IncrementalImageEngine:
@@ -240,6 +248,12 @@ class IncrementalImageEngine:
     buffers for the oracle to recover against and reconcile them on
     reuse.
 
+    ``initial`` may hold only the low bytes of the pool, as long as it
+    reaches the end of every write in ``trace`` (the campaign passes
+    its persisted-write extent): the running image and every pooled
+    buffer are then that long, and ``image_size`` (default
+    ``len(initial)``) is the logical size the images report.
+
     Not thread-safe: a campaign's image source owns one engine per
     detection run.
     """
@@ -250,8 +264,10 @@ class IncrementalImageEngine:
         trace: Sequence[MemoryEvent],
         stats: Optional[ImageEngineStats] = None,
         pool_size: int = 2,
+        image_size: Optional[int] = None,
     ):
         self._initial = bytes(initial)
+        self._size = len(initial) if image_size is None else image_size
         self._journal = DeltaJournal(trace)
         self._running = bytearray(self._initial)
         self._version = 0
@@ -285,7 +301,7 @@ class IncrementalImageEngine:
         self.advance(fail_seq)
         self.stats.images += 1
         self.stats.bytes_copied += len(self._running)
-        return bytes(self._running)
+        return bytes(self._running).ljust(self._size, b"\0")
 
     # -- snapshot pool ------------------------------------------------- #
 
@@ -303,7 +319,9 @@ class IncrementalImageEngine:
         if image is None:
             self.stats.pool_misses += 1
             self.stats.bytes_copied += len(self._running)
-            return MaterialisedImage(bytearray(self._running), fail_seq)
+            return MaterialisedImage(
+                bytearray(self._running), fail_seq, self._size
+            )
         buffer = image.pm_buffer
         if image.version < 0 or image.version > fail_seq:
             # Out-of-order task (requeue after worker death): rebuild.
@@ -313,6 +331,11 @@ class IncrementalImageEngine:
         else:
             self.stats.pool_hits += 1
             running = self._running
+            # Recovery writes above the running image grew the buffer.
+            # Cut it back first: restoring a range that runs past the
+            # running image's end from the shorter source would shrink
+            # the buffer and shift every later byte.
+            del buffer[len(running):]
             restored = 0
             for address, size in image.consume_dirty():
                 buffer[address:address + size] = running[address:address + size]

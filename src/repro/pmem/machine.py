@@ -53,6 +53,27 @@ VOLATILE_BASE = 1 << 40
 EventHook = Callable[[MemoryEvent, "PMachine"], None]
 
 
+def _boot_medium(image, size: Optional[int] = None) -> Medium:
+    """The medium a machine boots on ``image``.
+
+    A pooled, copy-on-write crash image
+    (:class:`repro.pmem.incremental.MaterialisedImage`) is adopted
+    without a copy: the medium reuses its ``pm_buffer``, which may hold
+    only the low bytes of the pool, and takes the image's logical size
+    from ``len(image)``.  The image then starts a write log so the
+    incremental engine can reconcile the buffer in O(recovery-dirtied
+    bytes) when it is returned to the pool.  Any other image is copied.
+    """
+    buffer = getattr(image, "pm_buffer", None)
+    if buffer is None:
+        return Medium.from_image(image, size=size)
+    medium = Medium(len(image), buffer=buffer)
+    adopted = getattr(image, "on_adopted", None)
+    if adopted is not None:
+        adopted(medium)
+    return medium
+
+
 class PMachine:
     """A single-hart machine with persistent and volatile memory.
 
@@ -105,7 +126,11 @@ class PMachine:
 
     @classmethod
     def from_image(
-        cls, image: bytes, poisoned_lines: Iterable[int] = (), **kwargs
+        cls,
+        image: bytes,
+        poisoned_lines: Iterable[int] = (),
+        pm_size: Optional[int] = None,
+        **kwargs,
     ) -> "PMachine":
         """Boot a fresh machine whose medium holds a crash image.
 
@@ -114,25 +139,13 @@ class PMachine:
         one raises :class:`~repro.errors.MediaError` until the full line
         is rewritten without being read (a whole-line store or a
         non-temporal store, mirroring ``movdir64b`` semantics).
+        ``pm_size`` is the pool's logical size when ``image`` holds only
+        its low bytes (default: ``len(image)``).
         """
-        buffer = getattr(image, "pm_buffer", None)
-        if buffer is not None:
-            # Zero-copy adoption of a pooled, copy-on-write crash image
-            # (repro.pmem.incremental.MaterialisedImage): the medium reuses
-            # the image's buffer directly, and the image starts a write log
-            # so the incremental engine can reconcile the buffer in
-            # O(recovery-dirtied bytes) when it is returned to the pool.
-            medium = Medium(buffer=buffer)
-            adopted = getattr(image, "on_adopted", None)
-            if adopted is not None:
-                adopted(medium)
-            machine = cls(pm_size=len(buffer), medium=medium, **kwargs)
-        else:
-            machine = cls(pm_size=len(image), **kwargs)
-            machine.medium.restore(image)
+        medium = _boot_medium(image, pm_size)
         for base in poisoned_lines:
-            machine.medium.poison_line(base)
-        return machine
+            medium.poison_line(base)
+        return cls(pm_size=medium.size, medium=medium, **kwargs)
 
     def reset_to_image(
         self, image: bytes, poisoned_lines: Iterable[int] = ()
@@ -148,16 +161,7 @@ class PMachine:
         ``eadr``) survives — which is exactly what the machine-template
         pool wants to amortise.
         """
-        buffer = getattr(image, "pm_buffer", None)
-        if buffer is not None:
-            medium = Medium(buffer=buffer)
-            adopted = getattr(image, "on_adopted", None)
-            if adopted is not None:
-                adopted(medium)
-            self.medium = medium
-        else:
-            self.medium = Medium(len(image))
-            self.medium.restore(image)
+        self.medium = _boot_medium(image)
         for base in poisoned_lines:
             self.medium.poison_line(base)
         # A fresh Cache (not drop_all) so eviction counters and policy

@@ -12,6 +12,14 @@ machine-check.  Mirroring real persistent memory, a write that covers the
 entire poisoned line re-establishes its ECC and clears the poison; partial
 writes do not (the device would have to read the rest of the line to merge,
 and that read is exactly what faults).
+
+A medium has a *logical* size (the pool the target declared; every bounds
+check and the allocator see it) and a *backed* size: the ``bytearray``
+holds only the pool's low bytes, up to the image it booted from or its
+highest write, and every byte above it reads as zero.  A campaign
+persists a few KiB of a 32 MiB pool, so a flat pool-sized buffer per
+machine would spend nearly all of its memory and page faults on zeros
+nobody reads.
 """
 
 from __future__ import annotations
@@ -37,20 +45,25 @@ class Medium:
             # incremental crash-image engine (repro.pmem.incremental) uses
             # this so the oracle recovers against a pooled copy-on-write
             # view instead of a fresh full-size allocation per injection.
+            # The buffer holds the low bytes of the pool; ``size`` (by
+            # default the buffer's length) is the logical size.
             if not isinstance(buffer, bytearray):
                 raise TypeError(
                     f"adopted buffer must be a bytearray, got "
                     f"{type(buffer).__name__}"
                 )
-            if not buffer:
-                raise ValueError("adopted buffer must be non-empty")
+            size = size or len(buffer)
+            if len(buffer) > size:
+                raise ValueError(
+                    f"adopted buffer of {len(buffer)} bytes exceeds the "
+                    f"medium size {size}"
+                )
             self._data = buffer
         else:
-            if size <= 0:
-                raise ValueError(
-                    f"medium size must be positive, got {size}"
-                )
-            self._data = bytearray(size)
+            self._data = bytearray()
+        if size <= 0:
+            raise ValueError(f"medium size must be positive, got {size}")
+        self._size = size
         self._write_count = 0
         #: Cache-line bases whose contents are uncorrectable (poisoned).
         self._poisoned: set = set()
@@ -60,22 +73,27 @@ class Medium:
 
     @classmethod
     def from_image(
-        cls, image: bytes, poisoned_lines: Iterable[int] = ()
+        cls,
+        image: bytes,
+        poisoned_lines: Iterable[int] = (),
+        size: Optional[int] = None,
     ) -> "Medium":
         """Reconstruct a medium from a crash image (post-failure state).
 
         ``poisoned_lines`` marks cache-line bases as uncorrectable media
         errors on the recovered device (see :meth:`poison_line`).
+        ``size`` is the logical size when the image holds only the low
+        bytes of the pool (default: the image's length).
         """
-        medium = cls(len(image))
-        medium._data[:] = image
+        medium = cls(size or len(image), buffer=bytearray(image))
         for base in poisoned_lines:
             medium.poison_line(base)
         return medium
 
     @property
     def size(self) -> int:
-        return len(self._data)
+        """The logical size: the addressable pool, backed or not."""
+        return self._size
 
     @property
     def write_count(self) -> int:
@@ -116,13 +134,17 @@ class Medium:
     # ------------------------------------------------------------------ #
 
     def check_bounds(self, address: int, size: int) -> None:
-        if address < 0 or size < 0 or address + size > len(self._data):
-            raise OutOfBoundsError(address, size, len(self._data))
+        if address < 0 or size < 0 or address + size > self._size:
+            raise OutOfBoundsError(address, size, self._size)
 
     def read(self, address: int, size: int) -> bytes:
         self.check_bounds(address, size)
         self._check_poison(address, size)
-        return bytes(self._data[address:address + size])
+        chunk = bytes(self._data[address:address + size])
+        if len(chunk) < size:
+            # Above the backed bytes the pool has never been written.
+            chunk = chunk.ljust(size, b"\0")
+        return chunk
 
     def start_write_log(self) -> List[Tuple[int, int]]:
         """Begin recording every mutation as ``(address, length)`` ranges.
@@ -137,7 +159,12 @@ class Medium:
 
     def write(self, address: int, data: bytes) -> None:
         self.check_bounds(address, len(data))
-        self._data[address:address + len(data)] = data
+        end = address + len(data)
+        if end > len(self._data) and data:
+            # Back the pool up to the write first: assigning a slice that
+            # starts past the end would append, not place, the bytes.
+            self._data.extend(bytes(end - len(self._data)))
+        self._data[address:end] = data
         self._write_count += 1
         if self._write_log is not None and data:
             self._write_log.append((address, len(data)))
@@ -154,18 +181,23 @@ class Medium:
     def snapshot(self) -> bytes:
         """Return an immutable copy of the full device contents.
 
-        Poison state is *not* part of the image — it travels separately
-        (see :meth:`from_image`), just as a DAX file's contents and its
-        badblocks list are separate on real hardware.
+        The copy has the logical size; a never-written medium's is
+        ``bytes(size)``, which the allocator backs lazily (no page is
+        touched until read).  Poison state is *not* part of the image —
+        it travels separately (see :meth:`from_image`), just as a DAX
+        file's contents and its badblocks list are separate on real
+        hardware.
         """
-        return bytes(self._data)
+        if not self._data:
+            return bytes(self._size)
+        return bytes(self._data).ljust(self._size, b"\0")
 
     def restore(self, image: bytes) -> None:
         """Overwrite the device contents with a previously taken snapshot."""
-        if len(image) != len(self._data):
+        if len(image) != self._size:
             raise ValueError(
-                f"image size {len(image)} does not match medium size {len(self._data)}"
+                f"image size {len(image)} does not match medium size {self._size}"
             )
         self._data[:] = image
         if self._write_log is not None:
-            self._write_log.append((0, len(self._data)))
+            self._write_log.append((0, self._size))

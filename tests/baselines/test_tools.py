@@ -1,5 +1,9 @@
 """Baseline-tool behaviour tests (fast configurations)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps.btree import BTree
@@ -10,6 +14,19 @@ from repro.errors import ToolError
 from repro.workloads import generate_workload
 
 WORKLOAD = generate_workload(120, seed=5)
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+#: One Witcher analysis whose findings name mismatching keys.
+WITCHER_FINDINGS = (
+    "from repro.apps.rbtree import RBTree\n"
+    "from repro.baselines import tool_by_name\n"
+    "from repro.workloads import generate_workload\n"
+    "run = tool_by_name('Witcher').analyze(\n"
+    "    RBTree, generate_workload(40, seed=1), budget_hours=12.0)\n"
+    "for finding in run.report.findings:\n"
+    "    print(finding.site, finding.message)\n"
+)
 
 
 def buggy_btree():
@@ -111,6 +128,25 @@ class TestToolRequirements:
             budget_hours=None,
         )
         assert not run.report.bugs  # clean config, black-box, no PMDK
+
+
+class TestWitcherDeterminism:
+    def test_findings_do_not_depend_on_the_hash_seed(self):
+        """An output-equivalence finding names the first key whose
+        value mismatches; two processes with different hash seeds must
+        name the same keys."""
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+            done = subprocess.run(
+                [sys.executable, "-c", WITCHER_FINDINGS], env=env,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert "output mismatch" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.slow

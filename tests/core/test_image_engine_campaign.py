@@ -19,11 +19,13 @@ import pytest
 
 from repro.apps import APPLICATIONS
 from repro.core import Mumak, MumakConfig
+from repro.core.fault_injection import FaultInjector
 from repro.pmem.faultmodel import FaultModelConfig
 from repro.pmem.incremental import (
     ENGINE_IMAGE_INCREMENTAL,
     ENGINE_IMAGE_REPLAY,
 )
+from repro.recovery import persisted_write_extent
 from repro.workloads import generate_workload
 
 BUG = "hashmap_atomic.c6_torn_inplace_update"
@@ -60,8 +62,6 @@ class TestEngineSelection:
         assert MumakConfig().image_engine == ENGINE_IMAGE_INCREMENTAL
 
     def test_unknown_engine_rejected(self):
-        from repro.core.fault_injection import FaultInjector
-
         with pytest.raises(ValueError):
             FaultInjector(image_engine="quantum")
 
@@ -155,22 +155,26 @@ class TestHotPathAccounting:
         assert r.image_engine == ENGINE_IMAGE_REPLAY
         assert i.image.bytes_copied < r.image.bytes_copied
         # Replay copies the full pool once per failure point; the
-        # incremental engine copies it once per pooled buffer.
+        # incremental engine copies the persisted-write extent once per
+        # pooled buffer.
         assert r.image.bytes_copied >= 10 * i.image.bytes_copied
 
     def test_variants_are_patches_not_copies(self):
         """Every task — prefix or adversarial — checks out a pooled
         buffer and every variant is patched onto it in place: the only
-        full-pool copies are pool misses."""
+        copies are pool misses, and each copies the campaign's
+        persisted-write extent, not the pool."""
         model = FaultModelConfig(model="adversarial", samples=2, seed=11)
         stats = run(model).fault_injection.stats
         assert stats.adversarial_injections > 0
         assert stats.image.images == stats.injections
         assert stats.image.pool_misses >= 1
-        assert (
-            stats.image.bytes_copied
-            == stats.image.pool_misses * factory().pool_size
+        detection = FaultInjector().detect(
+            factory, generate_workload(N_OPS, seed=SEED), SEED
         )
+        stop = persisted_write_extent(detection.trace)[1]
+        assert stop < factory().pool_size
+        assert stats.image.bytes_copied == stats.image.pool_misses * stop
 
     def test_history_passes_are_constant_not_per_point(self):
         """Incremental: one shared pass per *campaign* — the planner's

@@ -1,5 +1,9 @@
 """Resource accounting and budget-meter tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.baselines.base import (
@@ -12,6 +16,24 @@ from repro.core.resources import (
     estimate_trace_bytes,
 )
 from repro.pmem.events import MemoryEvent, Opcode
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+#: One rbtree campaign in a fresh interpreter that prints its own peak
+#: RSS in KiB.  The child reads its memory map's high-water mark
+#: (``VmHWM``), which starts afresh at exec.  ``ru_maxrss`` would not do:
+#: on Linux, exec folds the forking process's peak into it, so under a
+#: large test session every child would report the session's size.
+RBTREE_CAMPAIGN = (
+    "import re\n"
+    "from repro.apps.rbtree import RBTree\n"
+    "from repro.core import Mumak, MumakConfig\n"
+    "from repro.workloads import generate_workload\n"
+    "Mumak(MumakConfig(seed=1)).analyze(\n"
+    "    RBTree, generate_workload(200, seed=1))\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    print(re.search(r'VmHWM:\\s+(\\d+) kB', fh.read()).group(1))\n"
+)
 
 
 class TestResourceUsage:
@@ -143,3 +165,24 @@ class TestBudgetMeter:
         meter = BudgetMeter(budget_hours=None)
         meter.charge(1e12)
         assert not meter.exhausted
+
+
+class TestCampaignMemory:
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"),
+        reason="reads the peak RSS from Linux's /proc",
+    )
+    def test_peak_rss_is_not_pool_sized(self, tmp_path):
+        """rbtree declares a 32 MiB pool and persists about 50 KB of it.
+        A campaign backs its media and crash images only up to the bytes
+        it persists, so its peak RSS stays far below the few whole pools
+        (about 150 MB) a flat pool-sized medium per machine would hold."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", RBTREE_CAMPAIGN], env=env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        peak_mb = int(done.stdout.split()[-1]) / 1024
+        assert peak_mb < 64, f"peak RSS {peak_mb:.1f} MB"

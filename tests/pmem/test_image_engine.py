@@ -51,6 +51,7 @@ from repro.pmem.incremental import (
 )
 from repro.pmem.machine import VOLATILE_BASE, PMachine
 from repro.pmem.medium import Medium
+from repro.recovery import persisted_write_extent
 
 SIZE = 1024
 
@@ -578,6 +579,37 @@ class TestSnapshotPool:
             engine.release(image)
         assert len(engine._pool) == 2  # capped at pool_size
 
+    def test_recovery_writes_past_the_extent_are_reconciled(self):
+        """An engine backs its images only up to the extent's end; a
+        recovery writing above and across that end grows the adopted
+        buffer, and the next checkout must cut it back and still be
+        the exact prefix of the full logical pool."""
+        seed = 26
+        trace = make_trace(seed)
+        stop = persisted_write_extent(trace)[1]
+        pool = 4 * SIZE
+        initial = make_initial(seed)[:stop].ljust(pool, b"\0")
+        engine = IncrementalImageEngine(
+            initial[:stop], trace, pool_size=1, image_size=pool
+        )
+        points = fail_seqs(trace)
+        image = engine.checkout(points[1])
+        assert len(image) == pool and len(image.pm_buffer) == stop
+        machine = PMachine.from_image(image)
+        assert machine.medium.size == pool
+        machine.store(pool - CACHE_LINE_SIZE, b"\xab" * CACHE_LINE_SIZE)
+        machine.ntstore(stop - 8, b"\xcd" * 24)
+        machine.clflush(pool - CACHE_LINE_SIZE)
+        machine.sfence()
+        assert len(image.pm_buffer) == pool
+        engine.release(image)
+        for fs in points[2:]:
+            fresh = engine.checkout(fs)
+            assert fresh is image  # a pool hit, reconciled in place
+            assert len(fresh.pm_buffer) == stop
+            assert bytes(fresh) == prefix_image(initial, trace, fs)
+            engine.release(fresh)
+
     def test_machine_adopts_pooled_buffer_without_copy(self):
         """``PMachine.from_image`` must build the medium *around* the
         pooled buffer (zero copy) and register the write log."""
@@ -602,6 +634,9 @@ class TestSnapshotPool:
         assert len(image) == 4
         assert bytes(image) == b"abcd"
         assert image.tobytes() == b"abcd"
+        short = MaterialisedImage(bytearray(b"ab"), version=3, size=4)
+        assert len(short) == 4
+        assert bytes(short) == short.tobytes() == b"ab\0\0"
         assert image.consume_dirty() == []
         image.reset(9)
         assert image.version == 9
