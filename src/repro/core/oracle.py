@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import enum
 import os
+import sys
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
@@ -47,6 +47,7 @@ from repro.errors import (
     StepBudgetExceeded,
     WatchdogTimeout,
 )
+from repro.instrument.backtrace import target_file_name
 from repro.obs.spans import NULL_TELEMETRY
 from repro.pmem.machine import PMachine
 
@@ -107,28 +108,49 @@ def format_capped_trace(
     err: Optional[BaseException] = None,
     frame_limit: int = TRACE_FRAME_LIMIT,
     char_limit: int = TRACE_CHAR_LIMIT,
+    target_only: bool = False,
 ) -> str:
-    """``traceback.format_exc`` with hard frame *and* byte caps.
+    """Render ``err``'s traceback with hard frame *and* byte caps.
 
-    ``limit`` alone does not protect against pathological cases (huge
-    repr in the exception message, deeply recursive frames each carrying
-    long source lines), so the rendered text is additionally truncated.
+    One ``  at <file>:<line>:<function>`` line per frame, outermost
+    first (the form of journal stacks, with file basenames only), then
+    ``<ExcType>: <message>``.  No directory, source line or caret enters
+    the text, so it is the same wherever the package is installed and
+    under every Python version.  ``err`` defaults to the exception being
+    handled.
 
-    Edge cases are pinned down rather than incidental: negative limits
-    are clamped to 0; a ``char_limit`` of 0 yields just the truncation
-    marker; text exactly at the cap is returned unchanged (the marker
-    only appears when characters were actually dropped).
+    ``target_only`` drops the frames
+    :func:`~repro.instrument.backtrace.capture_stack` drops (simulator
+    and tool code), as Pin's filtered backtraces do: the recovery oracle
+    reports a target's crash that way.  Containment layers report tool
+    failures and keep every frame.
+
+    ``frame_limit`` keeps the outermost rendered frames; it alone does
+    not protect against pathological cases (a huge exception message),
+    so the text is additionally truncated to ``char_limit``.  Edge cases
+    are pinned down rather than incidental: negative limits are clamped
+    to 0; a ``char_limit`` of 0 yields just the truncation marker; text
+    exactly at the cap is returned unchanged (the marker only appears
+    when characters were actually dropped).
     """
     frame_limit = max(0, frame_limit)
     char_limit = max(0, char_limit)
-    if err is not None:
-        text = "".join(
-            traceback.format_exception(
-                type(err), err, err.__traceback__, limit=frame_limit
-            )
-        )
-    else:
-        text = traceback.format_exc(limit=frame_limit)
+    if err is None:
+        err = sys.exc_info()[1]
+    lines = []
+    tb = getattr(err, "__traceback__", None)
+    while tb is not None and len(lines) < frame_limit:
+        code = tb.tb_frame.f_code
+        if target_only:
+            name = target_file_name(code.co_filename)
+        else:
+            name = os.path.basename(code.co_filename)
+        if name is not None:
+            lines.append(f"  at {name}:{tb.tb_lineno}:{code.co_name}")
+        tb = tb.tb_next
+    kind, message = type(err).__name__, str(err)
+    lines.append(f"{kind}: {message}" if message else kind)
+    text = "\n".join(lines)
     if len(text) > char_limit:
         truncated = text[:char_limit]
         marker = "... [trace truncated]"
@@ -228,7 +250,7 @@ def run_recovery(
         return RecoveryOutcome(
             RecoveryStatus.MEDIA_ERROR,
             error=f"{type(err).__name__}: {str(err)[:TRACE_CHAR_LIMIT]}",
-            trace=format_capped_trace(err),
+            trace=format_capped_trace(err, target_only=True),
             stack_key=stack_key,
         )
     except (MemoryError, RecursionError) as err:
@@ -242,14 +264,14 @@ def run_recovery(
         return RecoveryOutcome(
             RecoveryStatus.CRASHED,
             error=f"{type(err).__name__}: {err}",
-            trace=format_capped_trace(err),
+            trace=format_capped_trace(err, target_only=True),
             stack_key=stack_key,
         )
     except Exception as err:  # noqa: BLE001 - any target crash is a finding
         return RecoveryOutcome(
             RecoveryStatus.CRASHED,
             error=f"{type(err).__name__}: {str(err)[:TRACE_CHAR_LIMIT]}",
-            trace=format_capped_trace(err),
+            trace=format_capped_trace(err, target_only=True),
             stack_key=stack_key,
         )
     finally:

@@ -34,8 +34,12 @@ from repro.core.taxonomy import BugKind
 from repro.instrument.backtrace import capture_site
 from repro.instrument.runner import run_instrumented
 from repro.pmem.constants import CACHE_LINE_SIZE, cache_line_of, cache_lines_spanned
-from repro.pmem.events import MemoryEvent, Opcode, WEAK_FLUSHES
+from repro.pmem.events import FLUSHES, MemoryEvent, Opcode, WEAK_FLUSHES
 from repro.pmem.machine import VOLATILE_BASE
+
+#: Opcode groups the analysis branches on (RMW fences as part of its store).
+_CACHED_STORES = (Opcode.STORE, Opcode.RMW)
+_PLAIN_FENCES = (Opcode.SFENCE, Opcode.MFENCE)
 
 
 @dataclass
@@ -92,6 +96,9 @@ class TraceAnalyzer:
         self, trace: Sequence[MemoryEvent]
     ) -> Tuple[List[_PendingFinding], TraceAnalysisStats]:
         lines: Dict[int, _LineState] = {}
+        #: The lines whose ``awaiting_fence`` is non-empty: all that the
+        #: next fence (or RMW) has to commit.
+        awaiting: Dict[int, _LineState] = {}
         ever_flushed: Set[int] = set()
         #: Weak flushes + NT stores since the last fence (for patterns 4/5).
         epoch_weak_events = 0
@@ -111,7 +118,7 @@ class TraceAnalyzer:
             stats.events += 1
             opcode = event.opcode
 
-            if opcode in (Opcode.STORE, Opcode.RMW):
+            if opcode in _CACHED_STORES:
                 if not is_pm(event.address):
                     continue
                 stats.stores += 1
@@ -129,7 +136,7 @@ class TraceAnalyzer:
                     state.dirty_stores.append(event.seq)
                 if opcode is Opcode.RMW:
                     # RMW has fence semantics: buffered flushes complete.
-                    epoch_weak_events = self._commit_epoch(lines)
+                    epoch_weak_events = self._commit_epoch(awaiting)
 
             elif opcode is Opcode.NT_STORE:
                 if not is_pm(event.address):
@@ -138,10 +145,11 @@ class TraceAnalyzer:
                 epoch_weak_events += 1
                 for base in cache_lines_spanned(event.address, event.size):
                     # NT data persists at the fence; model as flush-covered.
-                    line(base).awaiting_fence.append(event.seq)
+                    state = awaiting[base] = line(base)
+                    state.awaiting_fence.append(event.seq)
                     ever_flushed.add(base)
 
-            elif opcode.is_flush:
+            elif opcode in FLUSHES:
                 stats.flushes += 1
                 if self.eadr:
                     if is_pm(event.address):
@@ -154,7 +162,7 @@ class TraceAnalyzer:
                             )
                         )
                         base = cache_line_of(event.address)
-                        state = line(base)
+                        state = awaiting[base] = line(base)
                         state.awaiting_fence.extend(state.dirty_stores)
                         state.dirty_stores.clear()
                         ever_flushed.add(base)
@@ -204,8 +212,9 @@ class TraceAnalyzer:
                     else:
                         state.awaiting_fence.extend(state.dirty_stores)
                         state.dirty_stores.clear()
+                        awaiting[base] = state
 
-            elif opcode in (Opcode.SFENCE, Opcode.MFENCE):
+            elif opcode in _PLAIN_FENCES:
                 stats.fences += 1
                 if epoch_weak_events == 0:
                     pending.append(
@@ -228,7 +237,7 @@ class TraceAnalyzer:
                             is_warning=True,
                         )
                     )
-                epoch_weak_events = self._commit_epoch(lines)
+                epoch_weak_events = self._commit_epoch(awaiting)
 
         # End of trace: pattern 1 — stores that never became durable.
         # On eADR nothing here applies: cache-resident stores are durable.
@@ -260,9 +269,11 @@ class TraceAnalyzer:
         return pending, stats
 
     @staticmethod
-    def _commit_epoch(lines: Dict[int, _LineState]) -> int:
-        for state in lines.values():
+    def _commit_epoch(awaiting: Dict[int, _LineState]) -> int:
+        """A fence: every buffered flush and NT store is durable."""
+        for state in awaiting.values():
             state.awaiting_fence.clear()
+        awaiting.clear()
         return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Tuple
+from typing import Optional, Tuple
 
 #: Function name that marks the boundary between the analysis harness and
 #: the target program.  :func:`repro.instrument.runner.run_instrumented`
@@ -36,8 +36,24 @@ _EXCLUDED_FRAGMENTS = (
 )
 
 
-def _frame_id(filename: str, lineno: int, func: str) -> str:
-    return f"{os.path.basename(filename)}:{lineno}:{func}"
+class _FileNames(dict):
+    """``co_filename`` -> the basename its frames report, or None when
+    they are dropped.  Each file is classified on first sight, so a frame
+    costs one lookup."""
+
+    def __missing__(self, filename: str) -> Optional[str]:
+        excluded = any(f in filename for f in _EXCLUDED_FRAGMENTS)
+        name = self[filename] = None if excluded else os.path.basename(filename)
+        return name
+
+
+_FILE_NAMES = _FileNames()
+
+
+def target_file_name(filename: str) -> Optional[str]:
+    """The basename a frame of ``filename`` reports in a captured stack,
+    or None when the file is instrumentation or simulator code."""
+    return _FILE_NAMES[filename]
 
 
 def capture_stack(skip: int = 1) -> Tuple[str, ...]:
@@ -51,13 +67,14 @@ def capture_stack(skip: int = 1) -> Tuple[str, ...]:
     """
     frame = sys._getframe(skip)
     frames = []
+    names = _FILE_NAMES
     while frame is not None:
         code = frame.f_code
         if code.co_name == TARGET_ENTRY:
             break
-        filename = code.co_filename
-        if not any(fragment in filename for fragment in _EXCLUDED_FRAGMENTS):
-            frames.append(_frame_id(filename, frame.f_lineno, code.co_name))
+        name = names[code.co_filename]
+        if name is not None:
+            frames.append(f"{name}:{frame.f_lineno}:{code.co_name}")
         frame = frame.f_back
     frames.reverse()
     return tuple(frames)
@@ -70,9 +87,9 @@ def capture_site(skip: int = 1) -> str:
         code = frame.f_code
         if code.co_name == TARGET_ENTRY:
             break
-        filename = code.co_filename
-        if not any(fragment in filename for fragment in _EXCLUDED_FRAGMENTS):
-            return _frame_id(filename, frame.f_lineno, code.co_name)
+        name = _FILE_NAMES[code.co_filename]
+        if name is not None:
+            return f"{name}:{frame.f_lineno}:{code.co_name}"
         frame = frame.f_back
     return "<unknown>"
 

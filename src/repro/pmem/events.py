@@ -28,11 +28,11 @@ class Opcode(enum.Enum):
 
     @property
     def is_store(self) -> bool:
-        return self in (Opcode.STORE, Opcode.NT_STORE, Opcode.RMW)
+        return self in STORES
 
     @property
     def is_flush(self) -> bool:
-        return self in (Opcode.CLFLUSH, Opcode.CLFLUSHOPT, Opcode.CLWB)
+        return self in FLUSHES
 
     @property
     def is_fence(self) -> bool:
@@ -41,13 +41,21 @@ class Opcode(enum.Enum):
         Read-modify-write atomics flush the store buffer to guarantee their
         atomicity and therefore act as fences (paper, section 2).
         """
-        return self in (Opcode.SFENCE, Opcode.MFENCE, Opcode.RMW)
+        return self in FENCES
 
     @property
     def is_persistency_instruction(self) -> bool:
         """Flushes and fences: Mumak's default failure-point granularity."""
-        return self.is_flush or self.is_fence
+        return self in PERSISTENCY_INSTRUCTIONS
 
+
+# The predicates above test membership in these tuples: looking members
+# up on the enum class costs more than the test itself, and the tracers
+# ask for every instruction.
+STORES = (Opcode.STORE, Opcode.NT_STORE, Opcode.RMW)
+FLUSHES = (Opcode.CLFLUSH, Opcode.CLFLUSHOPT, Opcode.CLWB)
+FENCES = (Opcode.SFENCE, Opcode.MFENCE, Opcode.RMW)
+PERSISTENCY_INSTRUCTIONS = FLUSHES + FENCES
 
 #: Flushes that may be reordered until the next fence executes.
 WEAK_FLUSHES = (Opcode.CLFLUSHOPT, Opcode.CLWB)

@@ -119,6 +119,7 @@ class PMachine:
         self._steps = 0
         self._step_limit: Optional[int] = None
         self._watchdog_deadline: Optional[float] = None
+        self._watchdog_armed = False
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -225,9 +226,12 @@ class PMachine:
         self._steps = 0
         self._step_limit = step_limit
         self._watchdog_deadline = deadline
+        self._watchdog_armed = step_limit is not None or deadline is not None
 
     def _step(self) -> None:
         self._steps += 1
+        if not self._watchdog_armed:
+            return
         if self._step_limit is not None and self._steps > self._step_limit:
             raise StepBudgetExceeded(self._step_limit)
         if (
@@ -243,14 +247,20 @@ class PMachine:
         address: Optional[int] = None,
         size: int = 0,
         data: Optional[bytes] = None,
-    ) -> MemoryEvent:
-        event = MemoryEvent(
-            seq=self._seq, opcode=opcode, address=address, size=size, data=data
-        )
-        self._seq += 1
-        for hook in list(self._hooks):
-            hook(event, self)
-        return event
+    ) -> None:
+        """Count one traced instruction and show it to the hooks.
+
+        The event is built only when a hook listens: the recovery oracle
+        runs on hook-free machines, where every op still advances
+        :attr:`instruction_count` but needs no event.  Hooks run on a copy
+        of the list, since a hook may remove itself.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        if self._hooks:
+            event = MemoryEvent(seq, opcode, address, size, data)
+            for hook in list(self._hooks):
+                hook(event, self)
 
     # ------------------------------------------------------------------ #
     # address classification
@@ -264,9 +274,6 @@ class PMachine:
         must not silently read volatile zeros.
         """
         return address < VOLATILE_BASE
-
-    def _check_pm_bounds(self, address: int, size: int) -> None:
-        self.medium.check_bounds(address, size)
 
     # ------------------------------------------------------------------ #
     # volatile region
@@ -294,7 +301,7 @@ class PMachine:
             if self.trace_volatile:
                 self._emit(Opcode.STORE, address, len(data), data)
             return
-        self._check_pm_bounds(address, len(data))
+        self.medium.check_bounds(address, len(data))
         self._write_through_cache(address, data)
         self._trim_pending_nt(address, len(data))
         self._emit(Opcode.STORE, address, len(data), data)
@@ -336,7 +343,26 @@ class PMachine:
             if self.trace_loads and self.trace_volatile:
                 self._emit(Opcode.LOAD, address, size)
             return value
-        self._check_pm_bounds(address, size)
+        base = cache_line_of(address)
+        offset = address - base
+        if offset + size <= CACHE_LINE_SIZE and not self._pending_nt:
+            # One line, no buffered NT bytes to overlay: one lookup.
+            line = self.cache.peek(base)
+            if line is None:
+                value = self.medium.read(address, size)
+            else:
+                self.medium.check_bounds(address, size)
+                value = bytes(line.data[offset:offset + size])
+        else:
+            self.medium.check_bounds(address, size)
+            value = self._load_lines(address, size)
+        if self.trace_loads:
+            self._emit(Opcode.LOAD, address, size)
+        return value
+
+    def _load_lines(self, address: int, size: int) -> bytes:
+        """Read ``[address, address+size)`` line by line, cache over medium,
+        with buffered non-temporal bytes on top."""
         result = bytearray(size)
         cursor = address
         produced = 0
@@ -357,8 +383,6 @@ class PMachine:
             hi = min(nt_addr + len(nt_data), address + size)
             if lo < hi:
                 result[lo - address:hi - address] = nt_data[lo - nt_addr:hi - nt_addr]
-        if self.trace_loads:
-            self._emit(Opcode.LOAD, address, size)
         return bytes(result)
 
     def ntstore(self, address: int, data: bytes) -> None:
@@ -372,7 +396,7 @@ class PMachine:
             if self.trace_volatile:
                 self._emit(Opcode.NT_STORE, address, len(data), data)
             return
-        self._check_pm_bounds(address, len(data))
+        self.medium.check_bounds(address, len(data))
         # If the line is cached, keep the cached copy coherent.
         for base in cache_lines_spanned(address, len(data)):
             line = self.cache.peek(base)
@@ -423,7 +447,7 @@ class PMachine:
             raise PMemError("machine has crashed; no further execution")
         self._step()
         if self.is_persistent(address):
-            self._check_pm_bounds(address, 1)
+            self.medium.check_bounds(address, 1)
             base = cache_line_of(address)
             line = self.cache.peek(base)
             pending = self._pending_flushes.pop(base, None)
@@ -446,7 +470,7 @@ class PMachine:
             raise PMemError("machine has crashed; no further execution")
         self._step()
         if self.is_persistent(address):
-            self._check_pm_bounds(address, 1)
+            self.medium.check_bounds(address, 1)
             base = cache_line_of(address)
             line = self.cache.peek(base)
             if line is not None and line.dirty:
@@ -501,7 +525,7 @@ class PMachine:
             raise PMemError(f"rmw address 0x{address:x} is not 8-byte aligned")
         self._drain_persistence_buffers()
         if self.is_persistent(address):
-            self._check_pm_bounds(address, 8)
+            self.medium.check_bounds(address, 8)
             old = int.from_bytes(self.load(address, 8), "little")
             new = func(old) & (2 ** 64 - 1)
             self._write_through_cache(address, new.to_bytes(8, "little"))
@@ -537,12 +561,14 @@ class PMachine:
 
     def flush_range(self, address: int, size: int, opcode: Opcode = Opcode.CLWB) -> None:
         """Issue one flush per cache line spanned by ``[address, address+size)``."""
-        flushers = {
-            Opcode.CLFLUSH: self.clflush,
-            Opcode.CLFLUSHOPT: self.clflushopt,
-            Opcode.CLWB: self.clwb,
-        }
-        flush = flushers[opcode]
+        if opcode is Opcode.CLWB:
+            flush = self.clwb
+        elif opcode is Opcode.CLFLUSHOPT:
+            flush = self.clflushopt
+        elif opcode is Opcode.CLFLUSH:
+            flush = self.clflush
+        else:
+            raise KeyError(opcode)
         for base in cache_lines_spanned(address, size):
             flush(base)
 

@@ -1,5 +1,11 @@
 """Recovery-oracle classification tests."""
 
+import os
+import shutil
+import subprocess
+import sys
+
+import repro
 from repro.core.oracle import (
     RecoveryStatus,
     format_capped_trace,
@@ -106,3 +112,56 @@ def test_capped_trace_truncates_and_marks():
 def test_capped_trace_zero_frame_limit_still_renders_exception():
     text = format_capped_trace(_boom(), frame_limit=0)
     assert "ValueError" in text
+
+
+def test_capped_trace_is_in_journal_stack_form():
+    text = format_capped_trace(_boom())
+    frame, last = text.splitlines()
+    assert frame.startswith("  at test_oracle.py:")
+    assert frame.endswith(":_boom")
+    assert last == "ValueError: " + "x" * 200
+
+
+def test_target_only_trace_drops_simulator_frames():
+    class _Reader(_App):
+        def recover(self, machine):
+            machine.load(machine.medium.size, 8)  # one past the pool
+
+    outcome = run_recovery(lambda: _Reader("read"), IMAGE)
+    assert outcome.status is RecoveryStatus.CRASHED
+    frames = [line for line in outcome.trace.splitlines()
+              if line.startswith("  at ")]
+    assert frames == [frames[0]]
+    assert frames[0].startswith("  at test_oracle.py:")
+    assert frames[0].endswith(":recover")
+    assert outcome.trace.splitlines()[-1].startswith("OutOfBoundsError: ")
+
+
+def test_adversarial_journal_does_not_depend_on_the_install_path(tmp_path):
+    """Recovery traces name files by basename: the same campaign run from
+    two copies of the package writes the same journal bytes."""
+    package = os.path.dirname(repro.__file__)
+    journals = []
+    for copy in ("a", os.path.join("b", "deeper")):
+        root = tmp_path / copy
+        shutil.copytree(
+            package, root / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        env = dict(os.environ, PYTHONPATH=str(root))
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import repro; print(repro.__file__)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        assert loaded == str(root / "repro" / "__init__.py")
+        journal = tmp_path / (copy.replace(os.sep, "-") + ".jsonl")
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "analyze", "btree", "--spt",
+             "--ops", "40", "--fault-model", "adversarial",
+             "--checkpoint", str(journal)],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert run.returncode == 1, run.stderr
+        journals.append(journal.read_bytes())
+    assert b'"recovery_trace":"' in journals[0]
+    assert journals[0] == journals[1]

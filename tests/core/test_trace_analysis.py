@@ -1,11 +1,20 @@
 """Trace-analysis pattern tests against hand-built event streams."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.taxonomy import BugKind
-from repro.core.trace_analysis import TraceAnalyzer
+from repro.core.trace_analysis import (
+    TraceAnalysisStats,
+    TraceAnalyzer,
+    _LineState,
+    _PendingFinding,
+)
 from repro.pmem import PMachine, VOLATILE_BASE
 from repro.instrument.tracer import MinimalTracer
+from repro.pmem.constants import cache_line_of, cache_lines_spanned
+from repro.pmem.events import MemoryEvent, Opcode, WEAK_FLUSHES
 
 PM_SIZE = 64 * 1024
 
@@ -217,3 +226,203 @@ class TestStats:
         assert stats.stores == 1
         assert stats.flushes == 1
         assert stats.fences == 1
+
+
+# --------------------------------------------------------------------- #
+# fences commit only the awaiting lines: differential against the
+# analyser whose every fence clears every line it ever saw
+# --------------------------------------------------------------------- #
+
+class ReferenceAnalyzer(TraceAnalyzer):
+    """The reference: the single pass with a fence that walks every line."""
+
+    def analyze(self, trace):
+        lines = {}
+        ever_flushed = set()
+        epoch_weak_events = 0
+        stats = TraceAnalysisStats()
+        pending = []
+
+        def line(base):
+            state = lines.get(base)
+            if state is None:
+                state = lines[base] = _LineState()
+            return state
+
+        def is_pm(address):
+            return address is not None and 0 <= address < self.pm_size
+
+        def commit():
+            for state in lines.values():
+                state.awaiting_fence.clear()
+            return 0
+
+        for event in trace:
+            stats.events += 1
+            opcode = event.opcode
+            if opcode in (Opcode.STORE, Opcode.RMW):
+                if not is_pm(event.address):
+                    continue
+                stats.stores += 1
+                for base in cache_lines_spanned(event.address, event.size):
+                    state = line(base)
+                    if self.detect_dirty_overwrites and state.dirty_stores:
+                        pending.append(_PendingFinding(
+                            BugKind.DURABILITY,
+                            "dirty overwrite: the previous store to this "
+                            "line was never persisted",
+                            event.seq,
+                        ))
+                    state.dirty_stores.append(event.seq)
+                if opcode is Opcode.RMW:
+                    epoch_weak_events = commit()
+            elif opcode is Opcode.NT_STORE:
+                if not is_pm(event.address):
+                    continue
+                stats.stores += 1
+                epoch_weak_events += 1
+                for base in cache_lines_spanned(event.address, event.size):
+                    line(base).awaiting_fence.append(event.seq)
+                    ever_flushed.add(base)
+            elif opcode.is_flush:
+                stats.flushes += 1
+                if self.eadr:
+                    if is_pm(event.address):
+                        pending.append(_PendingFinding(
+                            BugKind.REDUNDANT_FLUSH,
+                            "cache flush on an eADR platform (the "
+                            "persistence domain includes the caches)",
+                            event.seq,
+                        ))
+                        base = cache_line_of(event.address)
+                        state = line(base)
+                        state.awaiting_fence.extend(state.dirty_stores)
+                        state.dirty_stores.clear()
+                        ever_flushed.add(base)
+                    continue
+                if not is_pm(event.address):
+                    pending.append(_PendingFinding(
+                        BugKind.REDUNDANT_FLUSH,
+                        "flush acting on a volatile address",
+                        event.seq,
+                    ))
+                    continue
+                base = cache_line_of(event.address)
+                state = line(base)
+                ever_flushed.add(base)
+                if opcode in WEAK_FLUSHES:
+                    epoch_weak_events += 1
+                if not state.dirty_stores:
+                    pending.append(_PendingFinding(
+                        BugKind.REDUNDANT_FLUSH,
+                        "flush of a cache line not written since its "
+                        "most recent flush",
+                        event.seq,
+                    ))
+                else:
+                    if len(state.dirty_stores) > 1 and self.include_warnings:
+                        pending.append(_PendingFinding(
+                            BugKind.REDUNDANT_FLUSH,
+                            f"single flush covers "
+                            f"{len(state.dirty_stores)} stores; whether "
+                            "they share a cache line depends on the "
+                            "memory arrangement",
+                            event.seq,
+                            is_warning=True,
+                        ))
+                    if opcode is Opcode.CLFLUSH:
+                        state.dirty_stores.clear()
+                    else:
+                        state.awaiting_fence.extend(state.dirty_stores)
+                        state.dirty_stores.clear()
+            elif opcode in (Opcode.SFENCE, Opcode.MFENCE):
+                stats.fences += 1
+                if epoch_weak_events == 0:
+                    pending.append(_PendingFinding(
+                        BugKind.REDUNDANT_FENCE,
+                        "fence with no flush or non-temporal store "
+                        "since the previous fence",
+                        event.seq,
+                    ))
+                elif epoch_weak_events > 1 and self.include_warnings:
+                    pending.append(_PendingFinding(
+                        BugKind.ORDERING,
+                        f"fence orders {epoch_weak_events} buffered "
+                        "flushes/non-temporal stores whose persist "
+                        "order is not deterministic; only program "
+                        "order was explored by fault injection",
+                        event.seq,
+                        is_warning=True,
+                    ))
+                epoch_weak_events = commit()
+
+        for base, state in ({} if self.eadr else lines).items():
+            for seq in state.dirty_stores + state.awaiting_fence:
+                if base in ever_flushed:
+                    pending.append(_PendingFinding(
+                        BugKind.DURABILITY,
+                        "store never explicitly persisted (its line is "
+                        "flushed elsewhere, so it lives in PM on "
+                        "purpose)",
+                        seq,
+                    ))
+                elif self.include_warnings:
+                    pending.append(_PendingFinding(
+                        BugKind.TRANSIENT_DATA,
+                        "store to PM never persisted anywhere; this "
+                        "data may belong in volatile memory",
+                        seq,
+                        is_warning=True,
+                    ))
+        stats.findings = sum(1 for p in pending if not p.is_warning)
+        stats.warnings = sum(1 for p in pending if p.is_warning)
+        return pending, stats
+
+
+#: A few lines of a small pool, so fences keep finding lines awaiting
+#: them and lines they must leave alone; plus volatile and out-of-pool
+#: addresses.
+SMALL_PM = 8 * 64
+trace_address = st.one_of(
+    st.integers(0, SMALL_PM - 1),
+    st.integers(SMALL_PM - 8, SMALL_PM + 8),
+    st.just(VOLATILE_BASE + 64),
+)
+trace_op = st.one_of(
+    st.tuples(st.sampled_from([Opcode.STORE, Opcode.NT_STORE]),
+              trace_address, st.integers(1, 130)),
+    st.tuples(st.just(Opcode.RMW), trace_address, st.just(8)),
+    st.tuples(st.sampled_from([Opcode.CLWB, Opcode.CLFLUSHOPT,
+                               Opcode.CLFLUSH]),
+              trace_address, st.just(64)),
+    st.tuples(st.sampled_from([Opcode.SFENCE, Opcode.MFENCE]),
+              st.none(), st.just(0)),
+)
+
+
+def build_trace(ops):
+    return [
+        MemoryEvent(seq, opcode, address, size)
+        for seq, (opcode, address, size) in enumerate(ops)
+    ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(trace_op, max_size=80),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_fence_clears_only_awaiting_lines(ops, eadr, warnings, overwrites):
+    trace = build_trace(ops)
+    options = dict(
+        pm_size=SMALL_PM, include_warnings=warnings,
+        detect_dirty_overwrites=overwrites, eadr=eadr,
+    )
+    got, got_stats = TraceAnalyzer(**options).analyze(trace)
+    want, want_stats = ReferenceAnalyzer(**options).analyze(trace)
+    assert [(p.kind, p.message, p.seq, p.is_warning) for p in got] == [
+        (p.kind, p.message, p.seq, p.is_warning) for p in want
+    ]
+    assert got_stats == want_stats

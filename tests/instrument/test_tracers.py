@@ -1,5 +1,12 @@
 """Instrumentation-layer tests: tracers, backtraces, runner, determinism."""
 
+import functools
+import os
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.apps.btree import BTree
 from repro.instrument import (
     FailurePointObserver,
@@ -8,7 +15,14 @@ from repro.instrument import (
     PathCounter,
     run_instrumented,
 )
-from repro.instrument.backtrace import capture_stack, format_stack
+from repro.instrument.backtrace import (
+    _EXCLUDED_FRAGMENTS,
+    TARGET_ENTRY,
+    capture_site,
+    capture_stack,
+    format_stack,
+    target_file_name,
+)
 from repro.instrument.tracer import GRANULARITY_STORE
 from repro.pmem import Opcode, PMachine
 from repro.workloads import generate_workload
@@ -127,3 +141,99 @@ class TestPathCounter:
         assert large.unique_persistency_paths >= small.unique_persistency_paths
         assert large.unique_store_paths > small.unique_store_paths
         assert large.unique_store_paths >= large.unique_persistency_paths
+
+
+# --------------------------------------------------------------------- #
+# the per-file cache against the uncached frame walk
+# --------------------------------------------------------------------- #
+
+def ref_stack(skip=1):
+    """The reference: classify every frame's file as it is walked."""
+    frame = sys._getframe(skip)
+    frames = []
+    while frame is not None:
+        code = frame.f_code
+        if code.co_name == TARGET_ENTRY:
+            break
+        filename = code.co_filename
+        if not any(fragment in filename for fragment in _EXCLUDED_FRAGMENTS):
+            frames.append(
+                f"{os.path.basename(filename)}:{frame.f_lineno}:{code.co_name}"
+            )
+        frame = frame.f_back
+    frames.reverse()
+    return tuple(frames)
+
+
+def ref_site(skip=1):
+    frame = sys._getframe(skip)
+    while frame is not None:
+        code = frame.f_code
+        if code.co_name == TARGET_ENTRY:
+            break
+        filename = code.co_filename
+        if not any(fragment in filename for fragment in _EXCLUDED_FRAGMENTS):
+            return (
+                f"{os.path.basename(filename)}:{frame.f_lineno}:{code.co_name}"
+            )
+        frame = frame.f_back
+    return "<unknown>"
+
+
+def both_captures():
+    # One line, so both pairs see the same line number for this frame.
+    return (capture_stack(), capture_site()), (ref_stack(), ref_site())
+
+
+#: perfbench's wrappers report this file (see ``perfbench/tracer.py``):
+#: it must be dropped like any other instrumentation frame.
+WRAPPER_FILE = os.path.join(
+    os.sep, "checkout", "perfbench", "<wrapper>", "repro", "instrument",
+    "perfbench_wrapper.py",
+)
+FRAME_FILES = (
+    os.path.join(os.sep, "a", "src", "repro", "apps", "btree.py"),
+    os.path.join(os.sep, "b", "src", "repro", "pmdk", "obj.py"),
+    os.path.join(os.sep, "a", "src", "repro", "workloads", "ycsb.py"),
+    os.path.join(os.sep, "a", "src", "repro", "pmem", "machine.py"),
+    os.path.join(os.sep, "a", "src", "repro", "apps", "faults.py"),
+    os.path.join(os.sep, "a", "src", "repro", "core", "harness.py"),
+    "<string>",
+    WRAPPER_FILE,
+)
+
+
+def call_through(chain, leaf):
+    """Call ``leaf`` beneath one frame per ``(file, function)`` of
+    ``chain``, outermost first; each frame's code reports that file."""
+    call = leaf
+    for filename, function in reversed(chain):
+        namespace = {}
+        source = "\n" * 6 + f"def {function}(inner):\n    return inner()\n"
+        exec(compile(source, filename, "exec"), namespace)
+        call = functools.partial(namespace[function], call)
+    return call()
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(FRAME_FILES),
+        st.sampled_from(["recover", "insert", "load", TARGET_ENTRY]),
+    ),
+    max_size=8,
+))
+def test_cached_capture_matches_the_uncached_walk(chain):
+    got, want = call_through(chain, both_captures)
+    assert got == want
+
+
+def test_wrapper_file_is_dropped():
+    stack = call_through(
+        [(FRAME_FILES[0], "recover"), (WRAPPER_FILE, "wrapper")],
+        capture_stack,
+    )
+    assert [frame.split(":")[0] for frame in stack][-1] == "btree.py"
+    assert not any("perfbench_wrapper" in frame for frame in stack)
+    assert target_file_name(WRAPPER_FILE) is None
+    assert target_file_name(FRAME_FILES[1]) == "obj.py"

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MediaError, OutOfBoundsError
-from repro.pmem import CACHE_LINE_SIZE, PMachine
+from repro.errors import MediaError, OutOfBoundsError, PMemError
+from repro.instrument.tracer import MinimalTracer
+from repro.pmem import CACHE_LINE_SIZE, VOLATILE_BASE, PMachine
 from repro.pmem.cache import LRUEviction, RandomEviction
-from repro.pmem.constants import cache_lines_spanned
+from repro.pmem.constants import cache_line_of, cache_lines_spanned
+from repro.pmem.events import MemoryEvent, Opcode
 from repro.pmem.incremental import MaterialisedImage
 
 PM_SIZE = 32 * 1024
@@ -338,3 +340,182 @@ class TestExtentBackedMedium:
         assert backed.crash_image() == flat.crash_image()
         assert backed.graceful_crash_image() == flat.graceful_crash_image()
         assert backed.medium.poisoned_lines == flat.medium.poisoned_lines
+
+
+# --------------------------------------------------------------------- #
+# the load and emit fast paths against the per-line reference
+# --------------------------------------------------------------------- #
+
+class ReferenceMachine(PMachine):
+    """The reference: every load walks its lines one by one and overlays
+    the buffered NT bytes, and every op builds its event, hooked or not."""
+
+    def load(self, address, size):
+        if self.crashed:
+            raise PMemError("machine has crashed; no further execution")
+        self._step()
+        if not self.is_persistent(address):
+            value = self._volatile_read(address, size)
+            if self.trace_loads and self.trace_volatile:
+                self._emit(Opcode.LOAD, address, size)
+            return value
+        self.medium.check_bounds(address, size)
+        result = bytearray(size)
+        cursor = address
+        produced = 0
+        while produced < size:
+            base = cache_line_of(cursor)
+            offset = cursor - base
+            chunk = min(size - produced, CACHE_LINE_SIZE - offset)
+            line = self.cache.peek(base)
+            if line is not None:
+                result[produced:produced + chunk] = line.data[offset:offset + chunk]
+            else:
+                result[produced:produced + chunk] = self.medium.read(cursor, chunk)
+            cursor += chunk
+            produced += chunk
+        for nt_addr, nt_data in self._pending_nt:
+            lo = max(nt_addr, address)
+            hi = min(nt_addr + len(nt_data), address + size)
+            if lo < hi:
+                result[lo - address:hi - address] = nt_data[lo - nt_addr:hi - nt_addr]
+        if self.trace_loads:
+            self._emit(Opcode.LOAD, address, size)
+        return bytes(result)
+
+    def _emit(self, opcode, address=None, size=0, data=None):
+        event = MemoryEvent(
+            seq=self._seq, opcode=opcode, address=address, size=size, data=data
+        )
+        self._seq += 1
+        for hook in list(self._hooks):
+            hook(event, self)
+        return event
+
+
+#: Loads that stay inside one line (the fast path), in PM, at the
+#: pool's end and in the volatile region.
+one_line_load = st.tuples(
+    st.just("load"),
+    st.one_of(
+        st.integers(0, FLAT_SIZE - 1),
+        st.integers(FLAT_SIZE - 8, FLAT_SIZE + 8),
+        st.integers(VOLATILE_BASE, VOLATILE_BASE + 64),
+    ),
+    st.integers(0, 8),
+)
+volatile_store = st.tuples(
+    st.sampled_from(["store", "nt"]),
+    st.integers(VOLATILE_BASE, VOLATILE_BASE + 64),
+    st.integers(1, 16),
+    st.integers(0, 255),
+)
+fast_path_op = st.one_of(medium_op, one_line_load, volatile_store)
+
+
+def traced_pair(machines, trace_loads):
+    """Attach one tracer per machine, or none when ``trace_loads`` is None."""
+    if trace_loads is None:
+        return None
+    tracers = []
+    for machine in machines:
+        machine.trace_loads = trace_loads
+        tracer = MinimalTracer()
+        machine.add_hook(tracer)
+        tracers.append(tracer)
+    return tracers
+
+
+class TestFastPathMatchesReference:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(fast_path_op, max_size=60),
+        st.sampled_from([None, False, True]),
+    )
+    def test_matches_the_per_line_machine(self, script, trace_loads):
+        """Loads, exception types, events, instruction counts and crash
+        images are the reference machine's, hooked (with or without
+        traced loads) or hook-free."""
+        fast = PMachine(pm_size=FLAT_SIZE, **machine_config())
+        ref = ReferenceMachine(pm_size=FLAT_SIZE, **machine_config())
+        tracers = traced_pair((fast, ref), trace_loads)
+        for op in script:
+            if op[0] == "crash":
+                image = fast.crash()
+                assert image == ref.crash()
+                poisoned = fast.medium.poisoned_lines
+                assert poisoned == ref.medium.poisoned_lines
+                assert fast.instruction_count == ref.instruction_count
+                if tracers is not None:
+                    assert tracers[0].events == tracers[1].events
+                fast = PMachine.from_image(
+                    image, poisoned_lines=poisoned, **machine_config()
+                )
+                ref = ReferenceMachine.from_image(
+                    image, poisoned_lines=poisoned, **machine_config()
+                )
+                tracers = traced_pair((fast, ref), trace_loads)
+                continue
+            assert outcome(fast, op) == outcome(ref, op), op
+        assert fast.instruction_count == ref.instruction_count
+        assert fast.steps == ref.steps
+        if tracers is not None:
+            assert tracers[0].events == tracers[1].events
+        assert fast.crash_image() == ref.crash_image()
+        assert fast.graceful_crash_image() == ref.graceful_crash_image()
+
+
+class _CountingEvent(MemoryEvent):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+def _rbtree():
+    from repro.apps.rbtree import RBTree
+
+    return RBTree(bugs=())
+
+
+def _mid_transaction_image():
+    """A graceful crash image of rbtree cut at instruction 300: its
+    recovery rolls an undo log back, so it stores, flushes and fences."""
+    from repro.errors import CrashInjected
+    from repro.instrument import run_instrumented
+    from repro.workloads import generate_workload
+
+    def cut(event, machine):
+        if event.seq == 300:
+            raise CrashInjected(event.seq)
+
+    artifacts = run_instrumented(
+        _rbtree, generate_workload(40, seed=3), hooks=[cut]
+    )
+    assert artifacts.injected is not None
+    return artifacts.machine.graceful_crash_image()
+
+
+def test_hook_free_recovery_builds_no_event(monkeypatch):
+    from repro.core.oracle import RecoveryStatus, run_recovery
+
+    image = _mid_transaction_image()
+    monkeypatch.setattr("repro.pmem.machine.MemoryEvent", _CountingEvent)
+    _CountingEvent.built = 0
+
+    outcome = run_recovery(_rbtree, image)
+    assert outcome.status is RecoveryStatus.OK
+    assert _CountingEvent.built == 0
+
+    bare = PMachine.from_image(image)
+    _rbtree().recover(bare)
+    assert _CountingEvent.built == 0
+    hooked = PMachine.from_image(image)
+    tracer = MinimalTracer()
+    hooked.add_hook(tracer)
+    _rbtree().recover(hooked)
+    # The hook-free machine counted every instruction the hooked one
+    # showed its hook, and built none of the events.
+    assert hooked.instruction_count == bare.instruction_count > 0
+    assert _CountingEvent.built == len(tracer.events) == bare.instruction_count
