@@ -10,15 +10,22 @@ The spec grammar (CLI ``--chaos``)::
 
     kill-worker=P[,seed=S][,max-kills=K]
 
-``P`` is the per-progress-event kill probability (each heartbeat a live
-shard sends gives the monkey one biased coin flip), ``S`` seeds the
+``P`` is the per-progress-beat kill probability, ``S`` seeds the
 monkey's private RNG (default 0), and ``K`` caps total kills (default
 ``2 * shards``, set by the supervisor when the spec leaves it unset) so
 chaos cannot starve the campaign forever.
 
-Determinism note: the *kill schedule* depends on event arrival order,
-which is racy by nature — what is deterministic (and asserted) is that
-the campaign's **output** does not depend on the schedule at all.
+Kills are planned when a shard is spawned, not decided when its beats
+arrive: :meth:`ChaosMonkey.plan` flips one coin per beat the spawn will
+send while it still has work left, and the shard ``SIGKILL``s itself
+right after sending the first beat whose coin landed.  So a planned kill
+always lands, and always leaves work to requeue, however fast the shard
+runs.
+
+Determinism note: the *kill schedule* depends on the order in which
+shards die and respawn, which is racy by nature — what is deterministic
+(and asserted) is that the campaign's **output** does not depend on the
+schedule at all.
 """
 
 from __future__ import annotations
@@ -165,7 +172,7 @@ class TransportChaosConfig:
 
 
 class ChaosMonkey:
-    """The seeded coin-flipper the supervisor consults per progress event.
+    """The seeded coin-flipper the supervisor consults per spawn.
 
     ``max_kills`` bounds total mayhem so a high probability cannot kill
     every respawn forever; past the cap the monkey retires.
@@ -185,6 +192,19 @@ class ChaosMonkey:
             self.kills += 1
             return True
         return False
+
+    def plan(self, beats: int) -> Optional[int]:
+        """The beat after which a spawn that will send ``beats`` progress
+        beats kills itself, or None to let it finish.
+
+        One coin flip per beat but the last, so a planned kill always
+        leaves the spawn work to requeue; the first flip that lands is
+        the kill.
+        """
+        for beat in range(1, beats):
+            if self.should_kill():
+                return beat
+        return None
 
 
 __all__ = [

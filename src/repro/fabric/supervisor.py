@@ -26,10 +26,11 @@ campaign down.  The fabric closes that gap:
   once, waits ``drain_grace_seconds`` for them to flush and exit, then
   escalates to SIGKILL — either way every journaled record survives and
   ``--resume`` continues exactly where the signal landed;
-* built-in chaos (:mod:`repro.fabric.chaos`) SIGKILLs live shards at
-  seeded random to prove all of the above: campaign output is
-  byte-identical to a serial run *by construction*, because every
-  injection is deterministic and the merge
+* built-in chaos (:mod:`repro.fabric.chaos`) plans seeded random
+  kills at spawn time, and a shard SIGKILLs itself right after the
+  progress beat its kill was planned at, to prove all of the above:
+  campaign output is byte-identical to a serial run *by construction*,
+  because every injection is deterministic and the merge
   (:mod:`repro.fabric.merge`) is order-insensitive.
 
 Workers are ``fork``-spawned (Linux), so the closures carrying the
@@ -124,12 +125,18 @@ class ShardBeacon:
 
     ``run_campaign`` calls ``note`` per completion — the beacon forwards
     a tiny advisory tuple to the supervisor's event pipe.  Everything
-    else is a no-op: real accounting happens parent-side.
+    else is a no-op: real accounting happens parent-side.  With a chaos
+    kill planned (``kill_at``), the beacon SIGKILLs its own process right
+    after sending that beat, unless a drain (``stop``) has begun.
     """
 
-    def __init__(self, shard_id: int, events):
+    def __init__(self, shard_id: int, events, kill_at: Optional[int] = None,
+                 stop: Optional[threading.Event] = None):
         self.shard_id = shard_id
         self._events = events
+        self._kill_at = kill_at
+        self._stop = stop
+        self._beats = 0
 
     def note(self, result) -> None:
         outcome = getattr(result, "outcome", None)
@@ -148,6 +155,11 @@ class ShardBeacon:
                 },
             )
         )
+        self._beats += 1
+        if self._beats == self._kill_at and not (
+            self._stop is not None and self._stop.is_set()
+        ):
+            os.kill(os.getpid(), signal.SIGKILL)
 
     def stats(self, payload: dict) -> None:
         """Best-effort end-of-shard stats relay (lost on SIGKILL)."""
@@ -186,9 +198,12 @@ class _Shard:
     process: object = None
     respawns: int = 0
     done: bool = False
+    #: The beat the current spawn kills itself after (chaos), or None.
+    kill_at: Optional[int] = None
 
 
-def _shard_entry(worker_body, shard_id, tasks, journal_path, events):
+def _shard_entry(worker_body, shard_id, tasks, journal_path, events,
+                 kill_at=None):
     """Forked child entry: wire signals, run the body, report failure.
 
     ``os._exit`` (not ``sys.exit``) on both paths: a forked child must
@@ -198,7 +213,7 @@ def _shard_entry(worker_body, shard_id, tasks, journal_path, events):
     """
     stop = threading.Event()
     shard_worker_signals(stop)
-    beacon = ShardBeacon(shard_id, events)
+    beacon = ShardBeacon(shard_id, events, kill_at, stop)
     try:
         worker_body(shard_id, tasks, journal_path, beacon, stop)
     except BaseException:  # noqa: BLE001 - anything is a shard failure
@@ -321,9 +336,14 @@ class ShardSupervisor:
             # event queue's write lock, which nothing would ever release
             # and every later ``put`` would wait on: fold what it sent,
             # then give the respawn a fresh queue.
-            self._pump_shard(shard, draining=False)
+            self._pump_shard(shard)
             shard.queue.close()
             shard.queue = self._ctx.SimpleQueue()
+        shard.kill_at = (
+            self._monkey.plan(len(remaining))
+            if self._monkey is not None
+            else None
+        )
         process = self._ctx.Process(
             target=_shard_entry,
             args=(
@@ -332,6 +352,7 @@ class ShardSupervisor:
                 remaining,
                 shard.path,
                 shard.queue,
+                shard.kill_at,
             ),
             name=f"mumak-shard-{shard.id}",
             daemon=True,
@@ -345,6 +366,7 @@ class ShardSupervisor:
             pid=process.pid,
             tasks=len(remaining),
             respawns=shard.respawns,
+            kill_at=shard.kill_at,
         )
 
     def _signal_all(self, signum: int) -> None:
@@ -358,19 +380,19 @@ class ShardSupervisor:
 
     # -- events --------------------------------------------------------- #
 
-    def _pump_events(self, draining: bool) -> None:
+    def _pump_events(self) -> None:
         for shard in self._shards:
-            self._pump_shard(shard, draining)
+            self._pump_shard(shard)
 
-    def _pump_shard(self, shard: _Shard, draining: bool) -> None:
+    def _pump_shard(self, shard: _Shard) -> None:
         while not shard.queue.empty():
             try:
                 event = shard.queue.get()
             except (EOFError, OSError):  # pragma: no cover - dead pipe
                 break
-            self._handle_event(shard, event, draining)
+            self._handle_event(event)
 
-    def _handle_event(self, shard: _Shard, event, draining: bool) -> None:
+    def _handle_event(self, event) -> None:
         self.stats.events += 1
         kind = event[0]
         if kind == "hb":
@@ -378,12 +400,6 @@ class ShardSupervisor:
             if self.heartbeat is not None:
                 self.heartbeat.note_worker(shard_id)
                 self.heartbeat.note(_ProgressBeat(flags))
-            if (
-                self._monkey is not None
-                and not draining
-                and self._monkey.should_kill()
-            ):
-                self._chaos_kill(shard)
         elif kind == "stats":
             _, shard_id, payload = event
             if self.on_stats is not None:
@@ -396,22 +412,6 @@ class ShardSupervisor:
             if self.warn is not None:
                 first = trace.strip().splitlines()[-1] if trace else "?"
                 self.warn(f"shard {shard_id} failed: {first}")
-
-    def _chaos_kill(self, shard: _Shard) -> None:
-        process = shard.process
-        if process is None or not process.is_alive():
-            return
-        try:
-            os.kill(process.pid, signal.SIGKILL)
-        except (ProcessLookupError, OSError):  # pragma: no cover
-            return
-        self.stats.chaos_kills += 1
-        self.telemetry.event(
-            "fabric/chaos_kill",
-            shard=shard.id,
-            pid=process.pid,
-            kills=self._monkey.kills,
-        )
 
     # -- the supervision loop ------------------------------------------- #
 
@@ -471,13 +471,13 @@ class ShardSupervisor:
                 killed = True
                 self.telemetry.event("fabric/drain_escalated")
                 self._signal_all(signal.SIGKILL)
-            self._pump_events(draining)
+            self._pump_events()
             self._reap(draining)
             if self.heartbeat is not None:
                 self.heartbeat.check_stalls()
             time.sleep(self.config.tick_seconds)
         # Late advisory events (a shard may exit between pumps).
-        self._pump_events(draining)
+        self._pump_events()
         if self.heartbeat is not None:
             self.heartbeat.finish()
 
@@ -520,6 +520,15 @@ class ShardSupervisor:
 
     def _on_death(self, shard: _Shard, exitcode, remaining: list) -> None:
         self.stats.deaths += 1
+        if shard.kill_at is not None and exitcode == -signal.SIGKILL:
+            # The spawn's planned chaos kill landed.
+            self.stats.chaos_kills += 1
+            self.telemetry.event(
+                "fabric/chaos_kill",
+                shard=shard.id,
+                beat=shard.kill_at,
+                kills=self.stats.chaos_kills,
+            )
         shard.respawns += 1
         self.telemetry.event(
             "fabric/shard_death",

@@ -19,11 +19,10 @@ execution paths that lead to persistency instructions and to PM stores.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, List, Optional, Set, Tuple
 
 from repro.instrument.backtrace import capture_site, capture_stack
-from repro.pmem.events import MemoryEvent, Opcode
+from repro.pmem.events import PERSISTENCY_INSTRUCTIONS, STORES, MemoryEvent
 from repro.pmem.machine import PMachine, VOLATILE_BASE
 
 
@@ -50,7 +49,7 @@ class FullTracer:
     def __call__(self, event: MemoryEvent, machine: PMachine) -> None:
         stack = capture_stack(skip=2) if self.with_stacks else None
         site = stack[-1] if stack else capture_site(skip=2)
-        self.events.append(dataclasses.replace(event, site=site, stack=stack))
+        self.events.append(event._replace(site=site, stack=stack))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -89,24 +88,26 @@ class FailurePointObserver:
         self.candidates_seen = 0
 
     def __call__(self, event: MemoryEvent, machine: PMachine) -> None:
+        opcode = event.opcode
+        if opcode in STORES:
+            address = event.address
+            if address is not None and address < VOLATILE_BASE:
+                # A PM store: a candidate at store granularity, else it
+                # arms the next persistency instruction.
+                if self.granularity == GRANULARITY_STORE:
+                    self.candidates_seen += 1
+                    self.callback(capture_stack(skip=2), event)
+                else:
+                    self._store_since_last = True
+                return
         if self.granularity == GRANULARITY_STORE:
-            if event.opcode.is_store and self._is_pm(event):
-                self.candidates_seen += 1
-                self.callback(capture_stack(skip=2), event)
             return
-        if event.opcode.is_store and self._is_pm(event):
-            self._store_since_last = True
-            return
-        if event.opcode.is_persistency_instruction:
+        if opcode in PERSISTENCY_INSTRUCTIONS:
             if self.require_store_since_last and not self._store_since_last:
                 return
             self._store_since_last = False
             self.candidates_seen += 1
             self.callback(capture_stack(skip=2), event)
-
-    @staticmethod
-    def _is_pm(event: MemoryEvent) -> bool:
-        return event.address is not None and event.address < VOLATILE_BASE
 
 
 class PathCounter:
@@ -118,9 +119,10 @@ class PathCounter:
         self.store_paths: Set[Tuple[str, ...]] = set()
 
     def __call__(self, event: MemoryEvent, machine: PMachine) -> None:
-        if event.opcode.is_persistency_instruction:
+        opcode = event.opcode
+        if opcode in PERSISTENCY_INSTRUCTIONS:
             self.persistency_paths.add(capture_stack(skip=2))
-        elif event.opcode.is_store and event.address is not None and (
+        elif opcode in STORES and event.address is not None and (
             event.address < VOLATILE_BASE
         ):
             self.store_paths.add(capture_stack(skip=2))

@@ -93,6 +93,8 @@ class Cache:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
         self.policy = policy or NoEviction()
+        #: Lines by base, least recently used first.  The machine's ops
+        #: read it directly on their one-line fast paths.
         self._lines: "OrderedDict[int, CacheLine]" = OrderedDict()
         self.eviction_count = 0
 

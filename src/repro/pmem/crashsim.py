@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import OutOfBoundsError
 from repro.pmem.constants import CACHE_LINE_SIZE, cache_lines_spanned
-from repro.pmem.events import MemoryEvent, Opcode
+from repro.pmem.events import STORES, MemoryEvent, Opcode
 from repro.pmem.machine import VOLATILE_BASE
 
 
@@ -68,7 +68,7 @@ def prefix_image(
     for event in trace:
         if event.seq >= fail_seq:
             break
-        if event.is_write:
+        if event.opcode in STORES:
             apply_write(image, event)
     return bytes(image)
 

@@ -9,8 +9,7 @@ instruction counter that uniquely identifies each traced instruction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
 class Opcode(enum.Enum):
@@ -61,9 +60,14 @@ PERSISTENCY_INSTRUCTIONS = FLUSHES + FENCES
 WEAK_FLUSHES = (Opcode.CLFLUSHOPT, Opcode.CLWB)
 
 
-@dataclass(frozen=True)
-class MemoryEvent:
+class MemoryEvent(NamedTuple):
     """One traced PM instruction.
+
+    A named tuple: a hooked machine builds one per instruction, and a
+    tuple costs a quarter of a frozen dataclass's field-by-field
+    ``__init__``.  It is immutable, so a copy with other fields is
+    :meth:`_replace`; it is also a ``tuple``, so ``len()``, iteration and
+    equality with a plain tuple apply.
 
     Attributes:
         seq: Monotone instruction counter, unique within one execution.
@@ -78,7 +82,8 @@ class MemoryEvent:
             address Pin reports); used to build the failure point tree.
         stack: Filtered application call stack, when backtrace collection is
             enabled.  The minimal tracer leaves it None and a debug re-run
-            fills it in later, mirroring the paper's optimisation.
+            fills it in later, mirroring the paper's optimisation.  Two
+            events that differ only in ``stack`` are equal and hash alike.
     """
 
     seq: int
@@ -87,11 +92,23 @@ class MemoryEvent:
     size: int = 0
     data: Optional[bytes] = None
     site: Optional[str] = None
-    stack: Optional[Tuple[str, ...]] = field(default=None, compare=False)
+    stack: Optional[Tuple[str, ...]] = None
+
+    def __eq__(self, other):
+        if isinstance(other, MemoryEvent):
+            return self[:6] == other[:6]
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:6])
 
     @property
     def is_write(self) -> bool:
-        return self.opcode.is_store
+        return self.opcode in STORES
 
     @property
     def end(self) -> int:

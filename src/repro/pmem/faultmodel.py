@@ -43,7 +43,7 @@ from repro.pmem.constants import (
     cache_lines_spanned,
 )
 from repro.pmem.crashsim import apply_write, build_line_histories
-from repro.pmem.events import MemoryEvent, Opcode
+from repro.pmem.events import STORES, MemoryEvent, Opcode
 from repro.pmem.incremental import (
     ENGINE_IMAGE_INCREMENTAL,
     ENGINE_IMAGE_REPLAY,
@@ -283,7 +283,7 @@ class AdversarialImageFactory:
         for event in self._trace:
             if event.seq >= fail_seq:
                 break
-            if not event.is_write or event.data is None:
+            if event.opcode not in STORES or event.data is None:
                 continue
             if event.address is None or event.address >= VOLATILE_BASE:
                 continue
@@ -428,7 +428,7 @@ class AdversarialImageFactory:
         for event in self._trace:
             if event.seq >= fail_seq:
                 break
-            if event.is_write:
+            if event.opcode in STORES:
                 apply_write(image, event)
         if self.stats is not None:
             self.stats.images += 1
@@ -474,7 +474,7 @@ class AdversarialImageFactory:
         for event in self._trace:
             if event.seq >= fail_seq:
                 break
-            if not event.is_write:
+            if event.opcode not in STORES:
                 continue
             if event.seq == victim.seq:
                 for bit, (lo, hi) in enumerate(units):

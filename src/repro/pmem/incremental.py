@@ -51,7 +51,7 @@ from repro.pmem.constants import (
     cache_lines_spanned,
 )
 from repro.pmem.crashsim import apply_write
-from repro.pmem.events import MemoryEvent, Opcode
+from repro.pmem.events import STORES, MemoryEvent, Opcode
 from repro.pmem.machine import VOLATILE_BASE
 
 #: Image-engine names (the CLI's ``--image-engine`` vocabulary).
@@ -122,7 +122,7 @@ class DeltaJournal:
         self._writes: List[MemoryEvent] = [
             event
             for event in trace
-            if event.is_write
+            if event.opcode in STORES
             and event.data is not None
             and event.address is not None
             and event.address < VOLATILE_BASE
@@ -577,7 +577,7 @@ class IncrementalHistoryIndex:
                 pending.clear()
             # Written-line tracking (media model; mirrors _analyse).
             if (
-                event.is_write
+                opcode in STORES
                 and event.data is not None
                 and address is not None
                 and address < VOLATILE_BASE

@@ -40,7 +40,6 @@ from repro.pmem.constants import (
     CACHE_LINE_SIZE,
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_POOL_SIZE,
-    cache_line_of,
     cache_lines_spanned,
 )
 from repro.pmem.events import MemoryEvent, Opcode
@@ -49,6 +48,13 @@ from repro.pmem.medium import Medium
 #: Base of the volatile (DRAM) address region.  Anything at or above this
 #: address never survives a crash.
 VOLATILE_BASE = 1 << 40
+
+#: ``address & _LINE_MASK`` is the base of the address's cache line
+#: (:func:`~repro.pmem.constants.cache_line_of`, inlined by the ops).
+_LINE_MASK = ~(CACHE_LINE_SIZE - 1)
+
+#: The unarmed watchdog's next check: a step count no run reaches.
+_NEVER = 1 << 62
 
 EventHook = Callable[[MemoryEvent, "PMachine"], None]
 
@@ -112,14 +118,13 @@ class PMachine:
         self._pending_nt: List[Tuple[int, bytes]] = []
         #: Volatile DRAM overlay for addresses >= VOLATILE_BASE.
         self._volatile: Dict[int, int] = {}
-        self._hooks: List[EventHook] = []
+        #: A tuple, rebuilt by every change: :meth:`_emit` iterates the
+        #: snapshot it read, so a hook may remove itself mid-dispatch.
+        self._hooks: Tuple[EventHook, ...] = ()
         self._seq = 0
         self.crashed = False
         #: Runaway-execution watchdog (armed by the campaign harness).
-        self._steps = 0
-        self._step_limit: Optional[int] = None
-        self._watchdog_deadline: Optional[float] = None
-        self._watchdog_armed = False
+        self.arm_watchdog()
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -171,7 +176,7 @@ class PMachine:
         self._pending_flushes.clear()
         self._pending_nt.clear()
         self._volatile.clear()
-        self._hooks.clear()
+        self._hooks = ()
         self._seq = 0
         self.crashed = False
         self.arm_watchdog()  # disarm + zero the step counter
@@ -182,13 +187,15 @@ class PMachine:
     # ------------------------------------------------------------------ #
 
     def add_hook(self, hook: EventHook) -> None:
-        self._hooks.append(hook)
+        self._hooks += (hook,)
 
     def remove_hook(self, hook: EventHook) -> None:
-        self._hooks.remove(hook)
+        hooks = list(self._hooks)
+        hooks.remove(hook)
+        self._hooks = tuple(hooks)
 
     def clear_hooks(self) -> None:
-        self._hooks.clear()
+        self._hooks = ()
 
     @property
     def instruction_count(self) -> int:
@@ -226,12 +233,22 @@ class PMachine:
         self._steps = 0
         self._step_limit = step_limit
         self._watchdog_deadline = deadline
-        self._watchdog_armed = step_limit is not None or deadline is not None
+        self._plan_next_check()
 
-    def _step(self) -> None:
-        self._steps += 1
-        if not self._watchdog_armed:
-            return
+    # Every op counts its step inline, ``steps = self._steps + 1``, and
+    # calls :meth:`_check_watchdog` only once ``steps`` passes
+    # ``_next_check``: the step limit, or the next multiple of 64 while a
+    # deadline is armed, whichever comes first.
+
+    def _plan_next_check(self) -> None:
+        steps = self._steps
+        limit = self._step_limit
+        next_check = _NEVER if limit is None else limit
+        if self._watchdog_deadline is not None:
+            next_check = min(next_check, steps | 0x3F)
+        self._next_check = next_check
+
+    def _check_watchdog(self) -> None:
         if self._step_limit is not None and self._steps > self._step_limit:
             raise StepBudgetExceeded(self._step_limit)
         if (
@@ -240,6 +257,12 @@ class PMachine:
             and time.monotonic() > self._watchdog_deadline
         ):
             raise WatchdogTimeout(0.0, "machine overran its watchdog deadline")
+        self._plan_next_check()
+
+    def _step(self) -> None:
+        steps = self._steps = self._steps + 1
+        if steps > self._next_check:
+            self._check_watchdog()
 
     def _emit(
         self,
@@ -252,14 +275,14 @@ class PMachine:
 
         The event is built only when a hook listens: the recovery oracle
         runs on hook-free machines, where every op still advances
-        :attr:`instruction_count` but needs no event.  Hooks run on a copy
-        of the list, since a hook may remove itself.
+        :attr:`instruction_count` but needs no event.
         """
         seq = self._seq
         self._seq = seq + 1
-        if self._hooks:
+        hooks = self._hooks
+        if hooks:
             event = MemoryEvent(seq, opcode, address, size, data)
-            for hook in list(self._hooks):
+            for hook in hooks:
                 hook(event, self)
 
     # ------------------------------------------------------------------ #
@@ -294,23 +317,39 @@ class PMachine:
         """Regular (cached, write-back) store."""
         if self.crashed:
             raise PMemError("machine has crashed; no further execution")
-        self._step()
+        steps = self._steps = self._steps + 1
+        if steps > self._next_check:
+            self._check_watchdog()
         data = bytes(data)
-        if not self.is_persistent(address):
+        size = len(data)
+        if address >= VOLATILE_BASE:
             self._volatile_write(address, data)
             if self.trace_volatile:
-                self._emit(Opcode.STORE, address, len(data), data)
+                self._emit(Opcode.STORE, address, size, data)
             return
-        self.medium.check_bounds(address, len(data))
-        self._write_through_cache(address, data)
-        self._trim_pending_nt(address, len(data))
-        self._emit(Opcode.STORE, address, len(data), data)
+        self.medium.check_bounds(address, size)
+        base = address & _LINE_MASK
+        offset = address - base
+        lines = self.cache._lines
+        line = lines.get(base)
+        if line is not None and 0 < size <= CACHE_LINE_SIZE - offset:
+            # Inside one cached line: write it in place and refresh its
+            # recency, as Cache.get does, so eviction picks the same
+            # victims.  Other stores install, evict and write back below.
+            lines.move_to_end(base)
+            line.data[offset:offset + size] = data
+            line.dirty_mask |= ((1 << size) - 1) << offset
+        else:
+            self._write_through_cache(address, data)
+        if self._pending_nt:
+            self._trim_pending_nt(address, size)
+        self._emit(Opcode.STORE, address, size, data)
 
     def _write_through_cache(self, address: int, data: bytes) -> None:
         cursor = address
         remaining = memoryview(data)
         while remaining:
-            base = cache_line_of(cursor)
+            base = cursor & _LINE_MASK
             offset = cursor - base
             chunk = min(len(remaining), CACHE_LINE_SIZE - offset)
             line = self.cache.get(base)
@@ -337,17 +376,19 @@ class PMachine:
     def load(self, address: int, size: int) -> bytes:
         if self.crashed:
             raise PMemError("machine has crashed; no further execution")
-        self._step()
-        if not self.is_persistent(address):
+        steps = self._steps = self._steps + 1
+        if steps > self._next_check:
+            self._check_watchdog()
+        if address >= VOLATILE_BASE:
             value = self._volatile_read(address, size)
             if self.trace_loads and self.trace_volatile:
                 self._emit(Opcode.LOAD, address, size)
             return value
-        base = cache_line_of(address)
+        base = address & _LINE_MASK
         offset = address - base
         if offset + size <= CACHE_LINE_SIZE and not self._pending_nt:
             # One line, no buffered NT bytes to overlay: one lookup.
-            line = self.cache.peek(base)
+            line = self.cache._lines.get(base)
             if line is None:
                 value = self.medium.read(address, size)
             else:
@@ -367,7 +408,7 @@ class PMachine:
         cursor = address
         produced = 0
         while produced < size:
-            base = cache_line_of(cursor)
+            base = cursor & _LINE_MASK
             offset = cursor - base
             chunk = min(size - produced, CACHE_LINE_SIZE - offset)
             line = self.cache.peek(base)
@@ -445,16 +486,19 @@ class PMachine:
         """
         if self.crashed:
             raise PMemError("machine has crashed; no further execution")
-        self._step()
-        if self.is_persistent(address):
+        steps = self._steps = self._steps + 1
+        if steps > self._next_check:
+            self._check_watchdog()
+        if address < VOLATILE_BASE:
             self.medium.check_bounds(address, 1)
-            base = cache_line_of(address)
-            line = self.cache.peek(base)
+            base = address & _LINE_MASK
+            lines = self.cache._lines
+            line = lines.get(base)
             pending = self._pending_flushes.pop(base, None)
             if line is not None:
-                if line.dirty or pending is not None:
-                    self.medium.write(base, line.copy_data())
-                self.cache.invalidate(base)
+                if line.dirty_mask or pending is not None:
+                    self.medium.write(base, bytes(line.data))
+                del lines[base]
             elif pending is not None:
                 self.medium.write(base, pending[0])
         self._emit(Opcode.CLFLUSH, address, CACHE_LINE_SIZE)
@@ -468,31 +512,40 @@ class PMachine:
     def _weak_flush(self, address: int, opcode: Opcode) -> None:
         if self.crashed:
             raise PMemError("machine has crashed; no further execution")
-        self._step()
-        if self.is_persistent(address):
+        steps = self._steps = self._steps + 1
+        if steps > self._next_check:
+            self._check_watchdog()
+        if address < VOLATILE_BASE:
             self.medium.check_bounds(address, 1)
-            base = cache_line_of(address)
-            line = self.cache.peek(base)
-            if line is not None and line.dirty:
+            base = address & _LINE_MASK
+            line = self.cache._lines.get(base)
+            if line is not None and line.dirty_mask:
                 # Snapshot at flush time: stores issued after this flush and
                 # before the fence are NOT covered by it.
-                self._pending_flushes[base] = (line.copy_data(), opcode)
-                self._pending_flushes.move_to_end(base)
-                line.mark_clean()
+                pending = self._pending_flushes
+                pending[base] = (bytes(line.data), opcode)
+                pending.move_to_end(base)
+                line.dirty_mask = 0
         self._emit(opcode, address, CACHE_LINE_SIZE)
 
     def sfence(self) -> None:
         if self.crashed:
             raise PMemError("machine has crashed; no further execution")
-        self._step()
-        self._drain_persistence_buffers()
+        steps = self._steps = self._steps + 1
+        if steps > self._next_check:
+            self._check_watchdog()
+        if self._pending_flushes or self._pending_nt:
+            self._drain_persistence_buffers()
         self._emit(Opcode.SFENCE)
 
     def mfence(self) -> None:
         if self.crashed:
             raise PMemError("machine has crashed; no further execution")
-        self._step()
-        self._drain_persistence_buffers()
+        steps = self._steps = self._steps + 1
+        if steps > self._next_check:
+            self._check_watchdog()
+        if self._pending_flushes or self._pending_nt:
+            self._drain_persistence_buffers()
         self._emit(Opcode.MFENCE)
 
     def _drain_persistence_buffers(self) -> None:

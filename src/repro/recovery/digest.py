@@ -23,6 +23,7 @@ dedup is that distinct failure points collapse onto one image).
 
 import hashlib
 
+from repro.pmem.events import STORES
 from repro.pmem.faultmodel import VARIANT_PREFIX, variant_family
 from repro.pmem.machine import CACHE_LINE_SIZE, VOLATILE_BASE
 
@@ -63,7 +64,7 @@ def persisted_write_extent(events):
     stop = None
     for event in events:
         if (
-            event.is_write
+            event.opcode in STORES
             and event.data is not None
             and event.address is not None
             and event.address < VOLATILE_BASE

@@ -20,8 +20,8 @@ from repro.workloads import generate_workload
 from tests.core.test_mode_matrix import BTREE_OPS, executor_knobs
 
 EXECUTORS = ("serial", "shards", "fleet")
-#: The chaos cell SIGKILLs a shard at each of its first two progress
-#: beats, so it loses the engine counters of the shards it kills.
+#: The chaos cell's two shards each SIGKILL themselves after their first
+#: progress beat, so it loses the engine counters of the shards killed.
 CHAOS = "kill-worker=1.0,seed=3,max-kills=2"
 
 #: Metric names this record no longer exports: each duplicated another.
@@ -158,7 +158,7 @@ def test_retries_are_counted_from_the_folded_results(flaky, executor):
 def test_chaos_tallies_equal_serial_and_engine_counters_bound_them(runs):
     stats, registry, _ = runs["chaos"]
     _, serial, _ = runs["serial"]
-    assert stats.fabric.chaos_kills >= 1
+    assert stats.fabric.chaos_kills == stats.fabric.deaths == 2
     assert stats.fabric.chaos_kills == registry.total("fabric_chaos_kills")
     for name in ("campaign_injections", "campaign_retries"):
         assert registry.total(name) == serial.total(name)

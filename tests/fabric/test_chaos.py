@@ -72,6 +72,25 @@ class TestMonkey:
         ]
         assert monkey.kills == 2
 
+    def test_plan_kills_at_the_first_landing_beat_but_never_the_last(self):
+        monkey = ChaosMonkey(ChaosConfig(kill_worker=1.0), max_kills=3)
+        assert [monkey.plan(beats) for beats in (0, 1, 5, 2, 9, 9)] == [
+            None, None, 1, 1, 1, None
+        ]
+        assert monkey.kills == 3
+
+    def test_plan_is_the_seeded_coin_flips_per_beat(self):
+        config = ChaosConfig(kill_worker=0.3, seed=7)
+        planner = ChaosMonkey(config, max_kills=100)
+        flipper = ChaosMonkey(config, max_kills=100)
+        for beats in (10, 3, 10, 1, 6, 10, 10, 2):
+            expected = next(
+                (beat for beat in range(1, beats) if flipper.should_kill()),
+                None,
+            )
+            assert planner.plan(beats) == expected
+        assert planner.kills == flipper.kills > 0
+
     def test_disabled_config_never_kills(self):
         monkey = ChaosMonkey(ChaosConfig(kill_worker=0.0), max_kills=10)
         assert not any(monkey.should_kill() for _ in range(100))

@@ -86,8 +86,8 @@ class TestShardedEqualsSerial:
 @pytest.mark.slow
 class TestChaosEqualsSerial:
     def test_sigkill_storm_is_byte_identical(self, serial, tmp_path):
-        # kill-worker=1.0: the first max-kills progress events each
-        # SIGKILL a live shard — guaranteed worker deaths mid-campaign.
+        # kill-worker=1.0: each shard's first spawn SIGKILLs itself after
+        # its first progress beat — guaranteed worker deaths mid-campaign.
         ckpt, result = _analyze_factory(
             tmp_path,
             "chaos",
@@ -95,7 +95,7 @@ class TestChaosEqualsSerial:
             chaos="kill-worker=1.0,seed=3,max-kills=2",
         )
         stats = result.fault_injection.stats
-        assert stats.fabric.chaos_kills >= 1
+        assert stats.fabric.chaos_kills == stats.fabric.deaths == 2
         assert open(ckpt, "rb").read() == serial["journal"]
         assert result.report.render() == serial["render"]
 

@@ -22,6 +22,7 @@ from repro.core.harness import (
 )
 from repro.errors import FabricError
 from repro.fabric import (
+    ChaosConfig,
     FabricConfig,
     ShardSupervisor,
     cleanup_shard_artifacts,
@@ -70,6 +71,16 @@ def _die_once_then_finish(shard_id, tasks, journal_path, beacon, stop):
             beacon.note(result)
             if first_life and position == 0:
                 os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _journal_fast(shard_id, tasks, journal_path, beacon, stop):
+    """A worker that journals its whole slice without pausing, so it can
+    finish before the supervisor reads a single one of its beats."""
+    with CampaignJournal(journal_path, FP, interval=1) as journal:
+        for task in tasks:
+            result = _result(task)
+            journal.record(result)
+            beacon.note(result)
 
 
 def _die_holding_the_event_lock_once(
@@ -251,3 +262,33 @@ class TestDrain:
             assert record["i"] in result.records
         # The merge ran even though the campaign drained.
         assert header is not None
+
+
+class TestChaos:
+    @pytest.mark.parametrize("tick", [0.01, 0.3])
+    def test_planned_kills_land_whatever_the_shard_speed(
+        self, tmp_path, tick
+    ):
+        """Every planned kill costs a death and counts once, even when the
+        shards finish their slices long before the supervisor's next
+        tick; the merge still holds every record."""
+        chaos = ChaosConfig(kill_worker=1.0, seed=3, max_kills=3)
+        tasks = _tasks(12)
+        _, _, result = _run(
+            tasks, _journal_fast, tmp_path,
+            config=FabricConfig(shards=2, tick_seconds=tick, chaos=chaos),
+        )
+        assert result.stats.chaos_kills == result.stats.deaths == 3
+        assert result.stats.respawns == 3
+        assert sorted(result.records) == [t.index for t in tasks]
+
+    def test_a_death_without_a_planned_kill_is_not_a_chaos_kill(
+        self, tmp_path
+    ):
+        chaos = ChaosConfig(kill_worker=1e-12, seed=3)
+        _, _, result = _run(
+            _tasks(6), _die_once_then_finish, tmp_path,
+            config=FabricConfig(shards=2, tick_seconds=0.01, chaos=chaos),
+        )
+        assert result.stats.deaths == 2
+        assert result.stats.chaos_kills == 0

@@ -1,13 +1,23 @@
 """Hypothesis property tests over the machine's persistency semantics."""
 
+import types
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MediaError, OutOfBoundsError, PMemError
+from repro.errors import (
+    MediaError,
+    OutOfBoundsError,
+    PMemError,
+    StepBudgetExceeded,
+    WatchdogTimeout,
+)
 from repro.instrument.tracer import MinimalTracer
 from repro.pmem import CACHE_LINE_SIZE, VOLATILE_BASE, PMachine
-from repro.pmem.cache import LRUEviction, RandomEviction
+from repro.pmem import machine as machine_module
+from repro.pmem.cache import CacheLine, LRUEviction, RandomEviction
 from repro.pmem.constants import cache_line_of, cache_lines_spanned
 from repro.pmem.events import MemoryEvent, Opcode
 from repro.pmem.incremental import MaterialisedImage
@@ -347,8 +357,82 @@ class TestExtentBackedMedium:
 # --------------------------------------------------------------------- #
 
 class ReferenceMachine(PMachine):
-    """The reference: every load walks its lines one by one and overlays
-    the buffered NT bytes, and every op builds its event, hooked or not."""
+    """The reference: the parent's ops, each through its helpers.
+
+    Every load walks its lines one by one and overlays the buffered NT
+    bytes; every store goes through ``Cache.get`` and ``CacheLine.write``;
+    every flush and fence counts its step through ``_step`` and looks its
+    line up through the cache's methods; every op builds its event,
+    hooked or not, and shows it to a copy of the hook list."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._hooks = []
+
+    def add_hook(self, hook):
+        self._hooks.append(hook)
+
+    def remove_hook(self, hook):
+        self._hooks.remove(hook)
+
+    def clear_hooks(self):
+        self._hooks.clear()
+
+    def arm_watchdog(self, step_limit=None, deadline=None):
+        self._steps = 0
+        self._step_limit = step_limit
+        self._watchdog_deadline = deadline
+        self._watchdog_armed = step_limit is not None or deadline is not None
+
+    def _step(self):
+        self._steps += 1
+        if not self._watchdog_armed:
+            return
+        if self._step_limit is not None and self._steps > self._step_limit:
+            raise StepBudgetExceeded(self._step_limit)
+        if (
+            self._watchdog_deadline is not None
+            and (self._steps & 0x3F) == 0
+            and machine_module.time.monotonic() > self._watchdog_deadline
+        ):
+            raise WatchdogTimeout(0.0, "machine overran its watchdog deadline")
+
+    def store(self, address, data):
+        if self.crashed:
+            raise PMemError("machine has crashed; no further execution")
+        self._step()
+        data = bytes(data)
+        if not self.is_persistent(address):
+            self._volatile_write(address, data)
+            if self.trace_volatile:
+                self._emit(Opcode.STORE, address, len(data), data)
+            return
+        self.medium.check_bounds(address, len(data))
+        self._write_through_cache(address, data)
+        self._trim_pending_nt(address, len(data))
+        self._emit(Opcode.STORE, address, len(data), data)
+
+    def _write_through_cache(self, address, data):
+        cursor = address
+        remaining = memoryview(data)
+        while remaining:
+            base = cache_line_of(cursor)
+            offset = cursor - base
+            chunk = min(len(remaining), CACHE_LINE_SIZE - offset)
+            line = self.cache.get(base)
+            if line is None:
+                if offset == 0 and chunk == CACHE_LINE_SIZE:
+                    line = CacheLine(base, bytes(CACHE_LINE_SIZE))
+                else:
+                    line = CacheLine(
+                        base, self.medium.read(base, CACHE_LINE_SIZE)
+                    )
+                victim = self.cache.install(line)
+                if victim is not None:
+                    self.medium.write(victim.base, victim.copy_data())
+            line.write(offset, bytes(remaining[:chunk]))
+            cursor += chunk
+            remaining = remaining[chunk:]
 
     def load(self, address, size):
         if self.crashed:
@@ -383,6 +467,51 @@ class ReferenceMachine(PMachine):
             self._emit(Opcode.LOAD, address, size)
         return bytes(result)
 
+    def clflush(self, address):
+        if self.crashed:
+            raise PMemError("machine has crashed; no further execution")
+        self._step()
+        if self.is_persistent(address):
+            self.medium.check_bounds(address, 1)
+            base = cache_line_of(address)
+            line = self.cache.peek(base)
+            pending = self._pending_flushes.pop(base, None)
+            if line is not None:
+                if line.dirty or pending is not None:
+                    self.medium.write(base, line.copy_data())
+                self.cache.invalidate(base)
+            elif pending is not None:
+                self.medium.write(base, pending[0])
+        self._emit(Opcode.CLFLUSH, address, CACHE_LINE_SIZE)
+
+    def _weak_flush(self, address, opcode):
+        if self.crashed:
+            raise PMemError("machine has crashed; no further execution")
+        self._step()
+        if self.is_persistent(address):
+            self.medium.check_bounds(address, 1)
+            base = cache_line_of(address)
+            line = self.cache.peek(base)
+            if line is not None and line.dirty:
+                self._pending_flushes[base] = (line.copy_data(), opcode)
+                self._pending_flushes.move_to_end(base)
+                line.mark_clean()
+        self._emit(opcode, address, CACHE_LINE_SIZE)
+
+    def sfence(self):
+        if self.crashed:
+            raise PMemError("machine has crashed; no further execution")
+        self._step()
+        self._drain_persistence_buffers()
+        self._emit(Opcode.SFENCE)
+
+    def mfence(self):
+        if self.crashed:
+            raise PMemError("machine has crashed; no further execution")
+        self._step()
+        self._drain_persistence_buffers()
+        self._emit(Opcode.MFENCE)
+
     def _emit(self, opcode, address=None, size=0, data=None):
         event = MemoryEvent(
             seq=self._seq, opcode=opcode, address=address, size=size, data=data
@@ -411,6 +540,62 @@ volatile_store = st.tuples(
     st.integers(0, 255),
 )
 fast_path_op = st.one_of(medium_op, one_line_load, volatile_store)
+
+
+#: Ops on the pool's first eight lines, so a cache of one to four lines
+#: keeps evicting: mostly stores, inside one line (the in-place path),
+#: straddling or covering lines, or empty; then loads, flushes, fences,
+#: NT stores and RMW.
+hot_address = st.builds(
+    lambda line, offset: line * CACHE_LINE_SIZE + offset,
+    st.integers(0, 7), st.integers(0, CACHE_LINE_SIZE - 1),
+)
+hot_store = st.tuples(
+    st.just("store"),
+    hot_address,
+    st.one_of(st.integers(0, 8), st.integers(0, CACHE_LINE_SIZE + 8)),
+    st.integers(0, 255),
+)
+hot_line_op = st.one_of(
+    hot_store,
+    hot_store,
+    hot_store,
+    st.tuples(st.just("nt"), hot_address, st.integers(1, 16),
+              st.integers(0, 255)),
+    st.tuples(st.just("load"), hot_address, st.integers(0, 16)),
+    st.tuples(st.sampled_from(["clwb", "clflushopt", "clflush"]),
+              hot_address),
+    st.tuples(st.sampled_from(["sfence", "mfence"])),
+    st.tuples(st.just("rmw"), hot_address, st.integers(0, 2 ** 64 - 1)),
+)
+#: Stores, weak and strong flushes and fences on three lines: a line is
+#: flushed, stored to again and flushed again before its fence.
+weak_flush_op = st.one_of(
+    st.tuples(st.just("store"), st.integers(0, 3 * CACHE_LINE_SIZE - 1),
+              st.integers(1, 16), st.integers(0, 255)),
+    st.tuples(st.sampled_from(["clwb", "clflushopt", "clwb", "clflush"]),
+              st.integers(0, 3 * CACHE_LINE_SIZE - 1)),
+    st.tuples(st.sampled_from(["sfence", "mfence"])),
+)
+
+
+def eviction(policy, seed):
+    return LRUEviction() if policy == "lru" else RandomEviction(seed)
+
+
+def machine_state(machine):
+    """The cache lines in recency order with their bytes and dirty masks,
+    the eviction count, the buffered weak-flush snapshots in order, and
+    the medium's bytes and write count."""
+    cache = machine.cache
+    return (
+        [(line.base, bytes(line.data), line.dirty_mask)
+         for line in cache.lines()],
+        cache.eviction_count,
+        list(machine._pending_flushes.items()),
+        machine.medium.snapshot(),
+        machine.medium.write_count,
+    )
 
 
 def traced_pair(machines, trace_loads):
@@ -465,12 +650,103 @@ class TestFastPathMatchesReference:
         assert fast.graceful_crash_image() == ref.graceful_crash_image()
 
 
+    @settings(deadline=None, max_examples=120)
+    @given(
+        st.lists(hot_line_op, min_size=20, max_size=80),
+        st.sampled_from(["lru", "random"]),
+        st.integers(0, 50),
+        st.integers(1, 4),
+    )
+    def test_in_place_stores_evict_the_same_victims(
+        self, script, policy, seed, capacity
+    ):
+        """Stores into cached lines are written in place; the cache's
+        recency order, its victims and their write-backs, and the medium
+        stay the reference's after every op, under LRU and random
+        eviction."""
+        fast, ref = (
+            cls(pm_size=FLAT_SIZE, cache_capacity=capacity,
+                eviction=eviction(policy, seed))
+            for cls in (PMachine, ReferenceMachine)
+        )
+        for op in script:
+            assert outcome(fast, op) == outcome(ref, op), op
+            assert machine_state(fast) == machine_state(ref), op
+
+    @settings(deadline=None, max_examples=120)
+    @given(st.lists(weak_flush_op, min_size=10, max_size=80))
+    def test_weak_flushes_buffer_the_same_snapshots(self, script):
+        """A weak flush snapshots its line and cleans it: the buffered
+        snapshots, their order and opcodes, and every line's dirty mask
+        are the reference's after every op."""
+        fast = PMachine(pm_size=FLAT_SIZE, **machine_config())
+        ref = ReferenceMachine(pm_size=FLAT_SIZE, **machine_config())
+        for op in script:
+            assert outcome(fast, op) == outcome(ref, op), op
+            assert machine_state(fast) == machine_state(ref), op
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.lists(fast_path_op, min_size=1, max_size=20),
+        st.one_of(st.none(), st.integers(0, 300)),
+        st.one_of(st.none(), st.integers(0, 300)),
+    )
+    def test_armed_watchdog_trips_at_the_same_step(
+        self, script, step_limit, deadline_op
+    ):
+        """Armed with a step limit, a deadline or both, the machine
+        raises the reference's error at the reference's step, and keeps
+        doing so on every later op.  The clock reads the op's index, so
+        a deadline passes at op ``deadline_op``."""
+        ops = (script * (320 // len(script) + 1))[:320]
+        now = [0.0]
+        clock = types.SimpleNamespace(monotonic=lambda: now[0])
+        fast = PMachine(pm_size=FLAT_SIZE, **machine_config())
+        ref = ReferenceMachine(pm_size=FLAT_SIZE, **machine_config())
+        deadline = None if deadline_op is None else deadline_op - 0.5
+        for machine in (fast, ref):
+            machine.arm_watchdog(step_limit=step_limit, deadline=deadline)
+        with mock.patch.object(machine_module, "time", clock):
+            for index, op in enumerate(ops):
+                now[0] = float(index)
+                assert outcome(fast, op) == outcome(ref, op), (index, op)
+                assert fast.steps == ref.steps
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(fast_path_op, max_size=40), st.integers(0, 30))
+    def test_a_hook_may_remove_itself_mid_dispatch(self, script, calls):
+        """A hook that removes itself after ``calls + 1`` events stops
+        seeing events at once, while the hooks around it see every event,
+        the one it left on included."""
+        logs = []
+        for cls in (PMachine, ReferenceMachine):
+            machine = cls(pm_size=FLAT_SIZE, **machine_config())
+            before, after = MinimalTracer(), MinimalTracer()
+            seen = []
+
+            def quitter(event, machine, seen=seen):
+                seen.append(event)
+                if len(seen) > calls:
+                    machine.remove_hook(quitter)
+
+            for hook in (before, quitter, after):
+                machine.add_hook(hook)
+            for op in script:
+                outcome(machine, op)
+            assert after.events == before.events
+            assert seen == before.events[:calls + 1]
+            logs.append((before.events, seen, machine.instruction_count))
+        assert logs[0] == logs[1]
+
+
 class _CountingEvent(MemoryEvent):
+    """Counts constructions: a tuple is built by ``__new__`` alone."""
+
     built = 0
 
-    def __init__(self, *args, **kwargs):
-        type(self).built += 1
-        super().__init__(*args, **kwargs)
+    def __new__(cls, *args, **kwargs):
+        _CountingEvent.built += 1
+        return super().__new__(cls, *args, **kwargs)
 
 
 def _rbtree():

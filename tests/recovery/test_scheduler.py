@@ -2,6 +2,7 @@
 
 import dataclasses
 
+from repro.pmem.events import Opcode
 from repro.pmem.machine import VOLATILE_BASE
 from repro.recovery.digest import persisted_write_extent
 
@@ -9,7 +10,7 @@ from repro.recovery.digest import persisted_write_extent
 @dataclasses.dataclass
 class FakeEvent:
     seq: int
-    is_write: bool = True
+    opcode: Opcode = Opcode.STORE
     data: object = b"\x01"
     address: object = 0
 
@@ -23,7 +24,7 @@ def test_write_extent_is_line_aligned_and_covers_all_writes():
     trace = [
         FakeEvent(seq=1, address=100, data=b"\x01" * 8),
         FakeEvent(seq=2, address=900, data=b"\x01" * 10),
-        FakeEvent(seq=3, address=5000, is_write=False),   # load: ignored
+        FakeEvent(seq=3, address=5000, opcode=Opcode.LOAD),   # ignored
         FakeEvent(seq=4, address=VOLATILE_BASE + 64),     # volatile
     ]
     # Writes cover [100, 910); aligned out to cache lines because
@@ -35,5 +36,5 @@ def test_write_extent_is_line_aligned_and_covers_all_writes():
 def test_write_extent_none_when_nothing_persists():
     assert persisted_write_extent([]) is None
     assert persisted_write_extent(
-        [FakeEvent(seq=1, is_write=False), FakeEvent(seq=2, data=None)]
+        [FakeEvent(seq=1, opcode=Opcode.LOAD), FakeEvent(seq=2, data=None)]
     ) is None
