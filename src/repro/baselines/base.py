@@ -202,11 +202,3 @@ class DetectionTool(abc.ABC):
                  usage: ResourceUsage, report: AnalysisReport,
                  run: ToolRun, seed: int) -> None:
         """Tool-specific analysis; must honour ``meter.exhausted``."""
-
-
-def count_correctness(report: AnalysisReport) -> int:
-    return len(report.correctness_bugs())
-
-
-def kind_counts(report: AnalysisReport):
-    return {kind.value: n for kind, n in report.counts_by_kind().items()}

@@ -65,7 +65,6 @@ from repro.obs.spans import NULL_TELEMETRY
 from repro.instrument.tracer import (
     GRANULARITY_PERSISTENCY,
     FailurePointObserver,
-    MinimalTracer,
 )
 from repro.pmem.events import MemoryEvent
 from repro.pmem.faultmodel import VARIANT_PREFIX, FaultModelConfig
@@ -83,9 +82,10 @@ if TYPE_CHECKING:
     from repro.fabric import FabricStats
     from repro.fabric.fleet import FleetStats
 
-# ``run_campaign`` and ``run_instrumented`` are called through this
-# module's globals: the benchmark's layer tracer (``perfbench/tracer.py``)
-# patches them here by name.
+# ``run_campaign`` and ``run_instrumented`` (the replay engine's
+# re-execution) are called through this module's globals: the
+# benchmark's layer tracer (``perfbench/tracer.py``) patches them here by
+# name.
 
 ENGINE_TRACE = "trace"
 ENGINE_REPLAY = "replay"
@@ -211,8 +211,9 @@ class DetectionRun:
 class FaultInjector:
     """Configurable fault-injection engine.
 
-    Every campaign takes one path: detect a list of runs, :meth:`plan`
-    them into tasks served by one image source, execute the tasks —
+    Every campaign takes one path: detect a list of runs
+    (:func:`repro.core.pipeline.detect`), :meth:`plan` them into tasks
+    served by one image source, execute the tasks —
     in this process (:meth:`inject`), across shard processes
     (:meth:`inject_sharded`), or across fleet hosts
     (:meth:`inject_fleet`) — and fold the results into one
@@ -393,30 +394,6 @@ class FaultInjector:
         return monitor if monitor.active else None
 
     # ------------------------------------------------------------------ #
-    # step 1: detection
-    # ------------------------------------------------------------------ #
-
-    def detect(self, app_factory, workload, seed: int = 0) -> DetectionRun:
-        """One instrumented run: the failure point tree and the trace."""
-        tree = FailurePointTree()
-        observer = FailurePointObserver(
-            lambda stack, event: tree.insert(stack, seq=event.seq),
-            granularity=self.granularity,
-            require_store_since_last=self.require_store_since_last,
-        )
-        tracer = MinimalTracer()
-        artifacts = run_instrumented(
-            app_factory, workload, hooks=[tracer, observer], seed=seed
-        )
-        return DetectionRun(
-            sched=-1,
-            trace=tracer.events,
-            tree=tree,
-            initial_image=artifacts.initial_image,
-            candidates=observer.candidates_seen,
-        )
-
-    # ------------------------------------------------------------------ #
     # steps 2+3: execute the plan
     # ------------------------------------------------------------------ #
 
@@ -429,9 +406,16 @@ class FaultInjector:
         resume_state: Optional[Dict[int, InjectionResult]] = None,
     ) -> FaultInjectionResult:
         """Detection, then injection in this process."""
+        # Lazy: repro.core.pipeline imports this module.
+        from repro.core.pipeline import detect
+
+        runs, _ = detect(
+            app_factory, workload, seed=seed, granularity=self.granularity,
+            require_store_since_last=self.require_store_since_last,
+        )
         return self.inject(
             app_factory,
-            [self.detect(app_factory, workload, seed)],
+            runs,
             workload=workload,
             seed=seed,
             journal=journal,
@@ -637,15 +621,14 @@ class FaultInjector:
         tears.  With no live workers the campaign degrades to local
         execution after the fleet's patience window.
 
-        ``spec`` is the campaign-reconstruction recipe published in the
-        manifest (see :func:`repro.fabric.fleet.build_manifest`);
         ``fingerprint_payload`` is the dict ``fingerprint`` was hashed
-        from, shipped so workers can refuse a tampered manifest.  The
-        local fallback's engine counters join the campaign record;
-        remote workers' do not come back.
+        from, which workers verify and rebuild their config from;
+        ``spec`` is the rest of the recipe.  The local fallback's engine
+        counters join the campaign record; remote workers' do not come
+        back.
         """
         # Lazy: repro.fabric depends on this package's harness module.
-        from repro.fabric.fleet import FleetSupervisor
+        from repro.fabric.fleet import FleetSupervisor, plan_digest
 
         stats = self._stats(runs)
         source, tasks = self.plan(runs)
@@ -677,6 +660,7 @@ class FaultInjector:
             config=fleet,
             spec=spec,
             local_runner=local_runner,
+            plan=plan_digest(tasks),
             base_records=base_records,
             restored_indices={result.task.index for result in restored},
             telemetry=self.telemetry,

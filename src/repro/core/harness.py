@@ -17,9 +17,8 @@ Three pillars, all routed through :func:`run_campaign`:
    ``RecoveryStatus.RESOURCE_EXHAUSTED`` outcomes; the campaign continues.
 2. **Per-injection containment with retry + quarantine** — any exception
    while materialising a crash image, constructing the app, or consulting
-   the oracle is captured with (capped) context, retried up to N times
-   with deterministic jittered backoff for transient classes, then
-   quarantined.  Partial results are always delivered.
+   the oracle is captured with (capped) context, retried up to N times,
+   then quarantined.  Partial results are always delivered.
 3. **Checkpoint / resume** — :class:`CampaignJournal` journals campaign
    state (fingerprint, per-injection outcomes, findings, quarantines) to
    a JSON-lines file every K injections; an interrupted campaign resumed
@@ -65,10 +64,6 @@ from repro.pmem.incremental import (
     MaterialisedImage,
     validate_image_engine,
 )
-
-#: Exception classes considered *transient*: they may disappear on retry,
-#: so they earn the (deterministic, jittered) backoff before each retry.
-TRANSIENT_ERRORS = (MemoryError, OSError)
 
 #: Checkpoint journal format version.
 JOURNAL_VERSION = 1
@@ -134,27 +129,10 @@ class HarnessConfig:
     step_budget: Optional[int] = None
     #: Containment retries before an injection is quarantined.
     max_retries: int = 2
-    #: Base of the deterministic jittered backoff for transient errors,
-    #: in seconds (0 disables sleeping entirely).
-    backoff_base: float = 0.0
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-
-
-def deterministic_backoff(key: str, attempt: int, base: float) -> float:
-    """Exponential backoff with *deterministic* jitter.
-
-    The jitter is derived from a hash of (key, attempt), so two runs of
-    the same campaign sleep identically — randomness without
-    nondeterminism.
-    """
-    if base <= 0:
-        return 0.0
-    digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
-    jitter = 0.5 + digest[0] / 255.0  # [0.5, 1.5]
-    return base * (2 ** attempt) * jitter
 
 
 # --------------------------------------------------------------------- #
@@ -458,15 +436,13 @@ def execute_injection(
     image_for: Callable[[InjectionTask], bytes],
     app_factory: Callable[[], Any],
     config: HarnessConfig,
-    sleep: Callable[[float], None] = time.sleep,
     telemetry=NULL_TELEMETRY,
     recovery=None,
 ) -> InjectionResult:
     """One injection under full containment.
 
     Materialise the crash image, consult the oracle under the watchdog,
-    retry tool-side failures up to ``config.max_retries`` times (with
-    deterministic jittered backoff for transient classes), then
+    retry tool-side failures up to ``config.max_retries`` times, then
     quarantine.  Never raises.
 
     ``telemetry`` (observation-only) receives one
@@ -489,7 +465,6 @@ def execute_injection(
     phase = "materialise"
     last_error = "unknown"
     last_trace: Optional[str] = None
-    key = "/".join(task.stack) or str(task.seq)
     mat_seconds = 0.0
     rec_seconds = 0.0
     caching = recovery is not None and recovery.caching
@@ -605,14 +580,6 @@ def execute_injection(
             give_back(image)
             last_error = f"{type(err).__name__}: {err}"
             last_trace = format_capped_trace(err)
-            if attempts <= config.max_retries and isinstance(
-                err, TRANSIENT_ERRORS
-            ):
-                delay = deterministic_backoff(
-                    key, attempts, config.backoff_base
-                )
-                if delay > 0:
-                    sleep(delay)
             continue
         give_back(image)
         if outcome.status.is_infrastructure:
@@ -1138,7 +1105,6 @@ def run_campaign(
     config: Optional[HarnessConfig] = None,
     journal: Optional[CampaignJournal] = None,
     resume_state: Optional[Dict[int, InjectionResult]] = None,
-    sleep: Callable[[float], None] = time.sleep,
     telemetry=NULL_TELEMETRY,
     heartbeat=None,
     recovery=None,
@@ -1177,7 +1143,7 @@ def run_campaign(
             campaign.drained = True
             break
         result = execute_injection(
-            task, image_source, app_factory, config, sleep=sleep,
+            task, image_source, app_factory, config,
             telemetry=telemetry, recovery=recovery,
         )
         campaign.results.append(result)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fault_injection import (
     ENGINE_TRACE,
@@ -58,7 +58,7 @@ from repro.obs import NULL_TELEMETRY, Telemetry, write_run_dir
 from repro.pmem.faultmodel import FaultModelConfig
 from repro.pmem.incremental import ENGINE_IMAGE_INCREMENTAL
 from repro.recovery import RecoveryEngineConfig, recovery_scope
-from repro.sched.config import SchedConfig
+from repro.sched.config import SchedConfig, sched_from_payload
 
 #: Mumak's CPU-load factor from the paper's Table 2 (1.20-1.44).
 MUMAK_CPU_LOAD = 1.3
@@ -195,11 +195,38 @@ class MumakConfig:
     def obs_active(self) -> bool:
         return self.obs_enabled or self.obs_dir is not None
 
-    def harness_config(self) -> HarnessConfig:
-        return HarnessConfig(
-            timeout_seconds=self.timeout_seconds,
-            step_budget=self.step_budget,
-            max_retries=self.max_retries,
+    def injector(
+        self, target_name: str, telemetry=NULL_TELEMETRY
+    ) -> FaultInjector:
+        """The campaign's :class:`FaultInjector`, as :meth:`Mumak.analyze`
+        and every fleet worker build it.  The recovery scope binds what
+        can change a verdict (target, oracle budgets) into its digests."""
+        scope = recovery_scope(
+            {
+                "target": target_name,
+                "timeout_seconds": self.timeout_seconds,
+                "step_budget": self.step_budget,
+            }
+        )
+        return FaultInjector(
+            granularity=self.granularity,
+            require_store_since_last=self.require_store_since_last,
+            engine=self.engine,
+            max_injections=self.max_injections,
+            harness=HarnessConfig(
+                self.timeout_seconds, self.step_budget, self.max_retries
+            ),
+            fault_model=self.fault_model,
+            image_engine=self.image_engine,
+            telemetry=telemetry,
+            heartbeat_interval=self.obs_heartbeat_seconds,
+            heartbeat_sink=self.obs_sink,
+            recovery=RecoveryEngineConfig.resolve(
+                self.recovery_cache, self.machine_pool, scope,
+                self.checkpoint_path,
+            ),
+            stop=self.stop_event,
+            stall_window=self.stall_window_seconds,
         )
 
     def fingerprint_payload(self, target_name: str) -> dict:
@@ -228,6 +255,31 @@ class MumakConfig:
             # (or under a single-threaded campaign) is refused by any
             # other.
             "sched": self.sched.payload() if self.sched is not None else None,
+        }
+
+    @classmethod
+    def from_fingerprint_payload(
+        cls, payload: dict, **knobs
+    ) -> "MumakConfig":
+        """The inverse of :meth:`fingerprint_payload`, plus ``knobs`` for
+        fields the fingerprint leaves out (see :meth:`worker_knobs`)."""
+        nested = ("target", "fault_model", "sched")
+        return cls(
+            fault_model=FaultModelConfig.from_payload(payload["fault_model"]),
+            sched=sched_from_payload(payload["sched"]),
+            **{key: payload[key] for key in payload if key not in nested},
+            **knobs,
+        )
+
+    def worker_knobs(self) -> dict:
+        """What a fleet worker needs beyond the fingerprint: knobs that
+        change how slices run, never what they record."""
+        return {
+            "max_retries": self.max_retries,
+            "image_engine": self.image_engine,
+            # A worker's slice caches live in its own workdir.
+            "recovery_cache": "off" if self.recovery_cache == "off" else "on",
+            "machine_pool": self.machine_pool,
         }
 
     def fingerprint(self, target_name: str) -> str:
@@ -288,6 +340,9 @@ def _file_error(path: Optional[str]) -> Optional[str]:
     return None
 
 
+#: The app recipe a fleet worker rebuilds the target and workload from.
+_RECIPE = {"target", "ops", "workload_seed"}
+
 #: Duration, combination and path rows: ``(condition, message)``.  A true
 #: ``condition(config, app_factory)`` refuses with the message, formatted
 #: with the condition's result as ``{0}`` and the config as ``{c}``.
@@ -299,9 +354,6 @@ _REFUSALS = (
      "--sched requires a multi-threaded target (see 'mumak targets')"),
     (lambda c, _: c.sched and c.engine != ENGINE_TRACE,
      "--sched requires --engine trace"),
-    (lambda c, _: c.sched and c.fleet_dir is not None,
-     "--sched is incompatible with --fleet (schedule samples are "
-     "process-local detection products)"),
     (lambda c, _: _spec_error(c.chaos, "ChaosConfig"), "{0}"),
     (lambda c, _: (c.shards > 1 or c.chaos) and c.engine != ENGINE_TRACE,
      "--shards/--chaos require --engine trace"),
@@ -315,8 +367,9 @@ _REFUSALS = (
     (lambda c, _: c.fleet_dir is not None and c.engine != ENGINE_TRACE,
      "--fleet requires --engine trace"),
     (lambda c, _: c.fleet_dir is not None
-     and "target" not in (c.campaign_spec or {}),
-     "--fleet needs a campaign_spec naming the target (the CLI builds it)"),
+     and not _RECIPE <= (c.campaign_spec or {}).keys(),
+     "--fleet needs a campaign_spec with the target, ops and workload_seed "
+     "(the CLI builds it)"),
     (lambda c, _: _file_error(c.checkpoint_path),
      "--checkpoint {c.checkpoint_path}: {0}"),
     (lambda c, _: c.recovery_cache not in ("on", "off")
@@ -348,6 +401,45 @@ def _results(records: Dict[int, dict]) -> dict:
         index: result_from_record(record)
         for index, record in records.items()
     }
+
+
+def detect(
+    app_factory: Callable[[], Any],
+    workload: Sequence,
+    seed: int = 0,
+    granularity: str = GRANULARITY_PERSISTENCY,
+    require_store_since_last: bool = True,
+    sched: Optional[SchedConfig] = None,
+) -> Tuple[List[DetectionRun], Any]:
+    """Step 1 of every campaign, for :meth:`Mumak.analyze` and every fleet
+    worker alike: the runs injection plans from (one, or one per schedule
+    sample under ``sched``) and the first run's execution artifacts.
+    The benchmark's tracer patches ``run_instrumented`` in this module
+    and ``detect_schedules`` in its own, so both are looked up at call
+    time."""
+    if sched is not None:
+        from repro.sched.campaign import detect_schedules
+
+        return detect_schedules(
+            app_factory, workload, sched, seed=seed, granularity=granularity,
+            require_store_since_last=require_store_since_last,
+        )
+    tree = FailurePointTree()
+    tracer = MinimalTracer()
+    observer = FailurePointObserver(
+        lambda stack, event: tree.insert(stack, seq=event.seq),
+        granularity=granularity,
+        require_store_since_last=require_store_since_last,
+    )
+    artifacts = run_instrumented(
+        app_factory, workload, hooks=[tracer, observer], seed=seed
+    )
+    run = DetectionRun(
+        sched=-1, trace=tracer.events, tree=tree,
+        initial_image=artifacts.initial_image,
+        candidates=observer.candidates_seen,
+    )
+    return [run], artifacts
 
 
 @dataclass
@@ -397,50 +489,18 @@ class Mumak:
         telemetry = Telemetry() if config.obs_active else NULL_TELEMETRY
 
         # Step 1: instrumented execution(s) -> trace + failure point tree.
-        # Detection yields a list of runs: one for an ordinary campaign,
-        # one per schedule sample under --sched.  The first run's trace
-        # and tree stand in wherever the pipeline needs "the" trace
-        # (trace analysis, the result).
+        # The first run's trace and tree stand in wherever the pipeline
+        # needs "the" trace (trace analysis, the result).
         with timer.phase("instrumented_run"):
             with telemetry.span("campaign/instrumented_run"):
-                if config.sched is not None:
-                    from repro.sched.campaign import detect_schedules
-
-                    runs, artifacts = detect_schedules(
-                        app_factory,
-                        workload,
-                        config.sched,
-                        seed=config.seed,
-                        granularity=config.granularity,
-                        require_store_since_last=(
-                            config.require_store_since_last
-                        ),
-                    )
-                else:
-                    tree = FailurePointTree()
-                    tracer = MinimalTracer()
-                    observer = FailurePointObserver(
-                        lambda stack, event: tree.insert(stack, seq=event.seq),
-                        granularity=config.granularity,
-                        require_store_since_last=(
-                            config.require_store_since_last
-                        ),
-                    )
-                    artifacts = run_instrumented(
-                        app_factory,
-                        workload,
-                        hooks=[tracer, observer],
-                        seed=config.seed,
-                    )
-                    runs = [
-                        DetectionRun(
-                            sched=-1,
-                            trace=tracer.events,
-                            tree=tree,
-                            initial_image=artifacts.initial_image,
-                            candidates=observer.candidates_seen,
-                        )
-                    ]
+                runs, artifacts = detect(
+                    app_factory,
+                    workload,
+                    seed=config.seed,
+                    granularity=config.granularity,
+                    require_store_since_last=config.require_store_since_last,
+                    sched=config.sched,
+                )
         trace_events = runs[0].trace
         usage.pool_bytes = artifacts.machine.medium.size
         usage.note_bytes(
@@ -455,37 +515,7 @@ class Mumak:
         fi_result = None
         if config.run_fault_injection:
             target_name = getattr(artifacts.app, "name", "target")
-            # The recovery scope binds everything that can change a
-            # recovery *verdict* into the verdict-cache digests: a
-            # cached outcome recorded under one oracle budget (or
-            # target) can never be replayed under another.
-            recovery_config = RecoveryEngineConfig.resolve(
-                config.recovery_cache,
-                config.machine_pool,
-                recovery_scope(
-                    {
-                        "target": target_name,
-                        "timeout_seconds": config.timeout_seconds,
-                        "step_budget": config.step_budget,
-                    }
-                ),
-                config.checkpoint_path,
-            )
-            injector = FaultInjector(
-                granularity=config.granularity,
-                require_store_since_last=config.require_store_since_last,
-                engine=config.engine,
-                max_injections=config.max_injections,
-                harness=config.harness_config(),
-                fault_model=config.fault_model,
-                image_engine=config.image_engine,
-                telemetry=telemetry,
-                heartbeat_interval=config.obs_heartbeat_seconds,
-                heartbeat_sink=config.obs_sink,
-                recovery=recovery_config,
-                stop=config.stop_event,
-                stall_window=config.stall_window_seconds,
-            )
+            injector = config.injector(target_name, telemetry)
             fingerprint = config.fingerprint(target_name)
             distributed = (
                 config.fleet_dir is not None or config.shards > 1
@@ -503,7 +533,6 @@ class Mumak:
                         app_factory,
                         runs,
                         target_name,
-                        recovery_config,
                         usage,
                         resumed,
                     )
@@ -659,7 +688,6 @@ class Mumak:
         app_factory,
         runs,
         target_name: str,
-        recovery_config,
         usage,
         resumed: Dict[int, dict],
     ) -> FaultInjectionResult:
@@ -668,9 +696,9 @@ class Mumak:
         Both fabrics always journal (shard and slice journals are their
         ground truth for requeue and merge), so a campaign without
         ``--checkpoint`` runs against a temporary journal discarded with
-        the run.
+        the run.  A fleet worker rebuilds the config from the manifest's
+        fingerprint payload and ``spec["config"]``.
         """
-        import dataclasses
         import tempfile
 
         from repro.fabric import ChaosConfig, FabricConfig
@@ -691,25 +719,7 @@ class Mumak:
                     else None
                 ),
             )
-            spec = dict(config.campaign_spec)
-            spec.update(
-                {
-                    "seed": config.seed,
-                    "granularity": config.granularity,
-                    "require_store_since_last": (
-                        config.require_store_since_last
-                    ),
-                    "max_injections": config.max_injections,
-                    "timeout_seconds": config.timeout_seconds,
-                    "step_budget": config.step_budget,
-                    "max_retries": config.max_retries,
-                    "fault_model": dataclasses.asdict(config.fault_model),
-                    "image_engine": config.image_engine,
-                    "recovery_cache_enabled": recovery_config.cache_enabled,
-                    "machine_pool": config.machine_pool,
-                    "scope": recovery_config.scope,
-                }
-            )
+            spec = dict(config.campaign_spec, config=config.worker_knobs())
         else:
             fabric_config = FabricConfig(
                 shards=config.shards,

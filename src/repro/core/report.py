@@ -159,10 +159,6 @@ class AnalysisReport:
         """Attach the prefix-vs-adversarial comparison for rendering."""
         self._model_comparison = comparison
 
-    @property
-    def model_comparison(self) -> Optional[ModelComparison]:
-        return self._model_comparison
-
     # ------------------------------------------------------------------ #
     # views
     # ------------------------------------------------------------------ #
@@ -183,9 +179,6 @@ class AnalysisReport:
     def quarantined(self) -> List:
         """Injections skipped after containment gave up (not findings)."""
         return list(self._quarantined)
-
-    def bugs_of_kind(self, kind: BugKind) -> List[Finding]:
-        return [f for f in self.bugs if f.kind == kind]
 
     def counts_by_kind(self) -> Dict[BugKind, int]:
         counts: Dict[BugKind, int] = {}

@@ -137,9 +137,9 @@ class TransportError(HarnessError):
     """A fleet transport operation failed (I/O error, bad object name).
 
     Transport trouble is *infrastructure* trouble: it never invalidates
-    campaign state.  Callers retry with a deterministic backoff and,
-    past their retry budget, degrade to local execution rather than
-    corrupting or aborting the campaign."""
+    campaign state.  Callers retry and, past their retry budget,
+    degrade to local execution rather than corrupting or aborting the
+    campaign."""
 
 
 class TransportMissing(TransportError):
@@ -153,19 +153,3 @@ class FleetError(FabricError):
 
 class ToolError(ReproError):
     """A bug-detection tool failed in a way unrelated to the target."""
-
-
-class ToolBudgetExceeded(ToolError):
-    """A detection tool exceeded its configured time or memory budget.
-
-    Used to reproduce the paper's 12-hour timeout behaviour (the bars marked
-    with the infinity symbol in Figure 4).
-    """
-
-    def __init__(self, tool: str, budget: float, spent: float):
-        super().__init__(
-            f"{tool} exceeded its analysis budget ({spent:.1f} > {budget:.1f} work units)"
-        )
-        self.tool = tool
-        self.budget = budget
-        self.spent = spent

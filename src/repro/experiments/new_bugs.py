@@ -44,10 +44,6 @@ class NewBugDemo:
 class NewBugsResult:
     demos: List[NewBugDemo] = field(default_factory=list)
 
-    @property
-    def all_detected(self) -> bool:
-        return all(d.detected for d in self.demos)
-
 
 def _correctness_evidence(result) -> str:
     findings = result.report.correctness_bugs()

@@ -8,18 +8,18 @@ the merged campaign journal is byte-identical to a serial run.
 The protocol, over any :class:`~repro.fabric.transport.Transport`:
 
 * the supervisor publishes a **campaign manifest**
-  (``campaign/manifest``): everything a worker host needs to rebuild
-  the campaign deterministically — target, workload parameters,
-  injector knobs, fault model, recovery scope — plus the campaign
-  fingerprint *and* the payload it was derived from, so a worker
-  recomputes and refuses a foreign or tampered manifest;
+  (``campaign/manifest``): the campaign fingerprint *and* the payload
+  it was derived from, a ``spec`` with what the fingerprint leaves out
+  (the app recipe and execution knobs), and the task plan's digest;
 * workers (:func:`run_fleet_worker`, ``mumak fleet worker <dir>``)
-  rebuild the campaign once (one instrumented run per host — the warm
-  worker then serves many leases), claim failure-point slices through
-  the :class:`~repro.fabric.lease.LeaseQueue`, execute them with the
-  ordinary in-process campaign runner, and ship the fsynced slice
-  journal + verdict-cache delta back as ``journal/<slice>.t<token>`` /
-  ``vcache/<slice>.t<token>``;
+  refuse a foreign or tampered manifest, rebuild the campaign once with
+  the pipeline's own builder (one detection per host — the warm worker
+  then serves many leases), refuse before their first heartbeat when
+  its fingerprint or plan is not the manifest's, claim failure-point
+  slices through the :class:`~repro.fabric.lease.LeaseQueue`, execute
+  them with the ordinary in-process campaign runner, and ship the
+  fsynced slice journal + verdict-cache delta back as
+  ``journal/<slice>.t<token>`` / ``vcache/<slice>.t<token>``;
 * the supervisor trusts **record coverage, not worker claims**: a slice
   is complete when every one of its task indices is present in the
   folded records.  A dropped upload (the worker believes it landed!)
@@ -47,6 +47,7 @@ acceptance test is ``cmp serial.jsonl fleet.jsonl``.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import threading
 import time
@@ -68,6 +69,7 @@ from repro.fabric.merge import (
     shard_journal_path,
 )
 from repro.fabric.transport import (
+    HEARTBEAT_PREFIX,
     ChaosTransport,
     DirTransport,
     Transport,
@@ -80,15 +82,13 @@ MANIFEST_NAME = "campaign/manifest"
 COMPLETE_NAME = "campaign/complete"
 DRAIN_NAME = "campaign/drain"
 
-#: Prefixes of the data/liveness plane.
+#: Prefixes of the data plane (heartbeats ride ``HEARTBEAT_PREFIX``).
 JOURNAL_PREFIX = "journal/"
 VCACHE_PREFIX = "vcache/"
-HEARTBEAT_PREFIX = "hb/"
-WORKER_PREFIX = "workers/"
 FIN_PREFIX = "fin/"
 
 #: Manifest format version (refuse-don't-misread on mismatch).
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 @dataclasses.dataclass
@@ -106,8 +106,8 @@ class FleetConfig:
     #: Supervisor poll cadence, in seconds.
     tick_seconds: float = 0.05
     #: How long the supervisor waits without any sign of worker life
-    #: (enrollment, heartbeat change, delivery) before finishing the
-    #: campaign on local execution.
+    #: (heartbeat change, delivery) before finishing the campaign on
+    #: local execution.
     patience_seconds: float = 10.0
     #: Grace window after a drain request for in-flight deliveries.
     drain_grace_seconds: float = 2.0
@@ -158,19 +158,31 @@ class FleetResult:
 # --------------------------------------------------------------------- #
 
 
+def plan_digest(tasks) -> str:
+    """A digest of each task's index, stack, seq, variant and schedule
+    sample, in plan order.  The fingerprint leaves the workload and the
+    target options out; this digest catches a worker that plans another
+    campaign from them."""
+    plan = [[t.index, t.stack, t.seq, t.variant, t.sched] for t in tasks]
+    return hashlib.sha256(json.dumps(plan).encode()).hexdigest()
+
+
 def build_manifest(
     fingerprint: str,
     fingerprint_payload: dict,
     seed: int,
     config: FleetConfig,
     spec: dict,
+    plan: Optional[str] = None,
 ) -> dict:
-    """The campaign manifest a worker host rebuilds the campaign from."""
+    """The campaign manifest a worker host rebuilds the campaign from;
+    ``plan`` is the :func:`plan_digest` of its full task plan."""
     return {
         "type": "mumak-fleet-manifest",
         "version": MANIFEST_VERSION,
         "fingerprint": fingerprint,
         "fingerprint_payload": fingerprint_payload,
+        "plan": plan,
         "seed": seed,
         "slices": config.slices,
         "ttl_seconds": config.ttl_seconds,
@@ -260,8 +272,10 @@ class FleetSupervisor:
     ``local_runner(slice_id, tasks, journal_path, stop_event)`` executes
     a slice in-process (the PR 6 shard body) — the degradation path when
     the fleet goes quiet.  The supervisor never *requires* remote
-    workers: a fleet campaign with zero enrolled hosts completes locally
+    workers: a fleet campaign with zero live hosts completes locally
     after ``patience_seconds``, merged through the identical machinery.
+    ``plan`` is the :func:`plan_digest` of the full task plan (``tasks``
+    may be only its unfinished part).
     """
 
     def __init__(
@@ -274,6 +288,7 @@ class FleetSupervisor:
         config: FleetConfig,
         spec: dict,
         local_runner: Callable,
+        plan: Optional[str] = None,
         base_records: Optional[Dict[int, dict]] = None,
         restored_indices: Optional[Set[int]] = None,
         telemetry=NULL_TELEMETRY,
@@ -292,6 +307,7 @@ class FleetSupervisor:
         self.config = config
         self.spec = spec
         self.local_runner = local_runner
+        self.plan = plan
         self.records: Dict[int, dict] = dict(base_records or {})
         self.restored_indices = set(
             self.records if restored_indices is None else restored_indices
@@ -323,12 +339,11 @@ class FleetSupervisor:
         # campaign end; a registry write here would double-count.
         self.stats.transport_retries += 1
 
-    def _reliable(self, operation, *args, key: str):
+    def _reliable(self, operation, *args):
         return reliable(
             operation,
             *args,
             retries=self.config.transport_retries,
-            key=key,
             on_retry=self._count_retry,
         )
 
@@ -352,10 +367,7 @@ class FleetSupervisor:
             ):
                 try:
                     self._reliable(
-                        self.transport.put,
-                        f"{FIN_PREFIX}{slice_id}",
-                        b"done",
-                        key=f"fin-{slice_id}",
+                        self.transport.put, f"{FIN_PREFIX}{slice_id}", b"done"
                     )
                 except TransportError:
                     continue  # retried next tick
@@ -378,9 +390,7 @@ class FleetSupervisor:
 
     def _pump_heartbeats(self) -> bool:
         changed = False
-        names = self._reliable(
-            self.transport.list, HEARTBEAT_PREFIX, key="hb-list"
-        )
+        names = self._reliable(self.transport.list, HEARTBEAT_PREFIX)
         workers = set()
         for name in names:
             worker = name[len(HEARTBEAT_PREFIX):]
@@ -400,18 +410,14 @@ class FleetSupervisor:
 
     def _pump_deliveries(self) -> bool:
         any_new = False
-        names = self._reliable(
-            self.transport.list, JOURNAL_PREFIX, key="journal-list"
-        )
+        names = self._reliable(self.transport.list, JOURNAL_PREFIX)
         for name in names:
             if name in self._processed:
                 continue
             self._processed.add(name)
             any_new = True
             try:
-                data = self._reliable(
-                    self.transport.get, name, key=f"get-{name}"
-                )
+                data = self._reliable(self.transport.get, name)
             except (TransportMissing, TransportError):
                 continue
             folded, duplicates, torn = fold_journal_bytes(
@@ -535,7 +541,6 @@ class FleetSupervisor:
                     self.transport.put,
                     DRAIN_NAME if drained else COMPLETE_NAME,
                     b"done",
-                    key="finish-marker",
                 )
             except TransportError:
                 pass  # workers will idle out on their own budget
@@ -556,12 +561,11 @@ class FleetSupervisor:
             self.seed,
             self.config,
             self.spec,
+            self.plan,
         )
         data = json.dumps(manifest, sort_keys=True).encode()
         try:
-            existing = self._reliable(
-                self.transport.get, MANIFEST_NAME, key="manifest-get"
-            )
+            existing = self._reliable(self.transport.get, MANIFEST_NAME)
         except TransportMissing:
             existing = None
         if existing is not None:
@@ -573,9 +577,7 @@ class FleetSupervisor:
                     f"{self.fingerprint!r}; point --fleet at a fresh "
                     "directory"
                 )
-        self._reliable(
-            self.transport.put, MANIFEST_NAME, data, key="manifest-put"
-        )
+        self._reliable(self.transport.put, MANIFEST_NAME, data)
         self.telemetry.event(
             "fleet/manifest_published",
             fingerprint=self.fingerprint,
@@ -597,10 +599,7 @@ class FleetSupervisor:
                 draining = True
                 drain_deadline = now + self.config.drain_grace_seconds
                 try:
-                    self._reliable(
-                        self.transport.put, DRAIN_NAME, b"drain",
-                        key="drain-marker",
-                    )
+                    self._reliable(self.transport.put, DRAIN_NAME, b"drain")
                 except TransportError:
                     pass
                 self.telemetry.event("fleet/drain_requested")
@@ -744,7 +743,6 @@ def run_fleet_worker(
     fingerprint = manifest["fingerprint"]
     seed = manifest["seed"]
     slices = manifest["slices"]
-    spec = manifest["spec"]
 
     chaos_spec = manifest.get("transport_chaos")
     fleet_transport: Transport = base
@@ -756,9 +754,9 @@ def run_fleet_worker(
     def count_retry(_attempt: int) -> None:
         summary.transport_retries += 1
 
-    # -- rebuild the campaign (one instrumented run per worker) --------- #
+    # -- rebuild the campaign (one detection per worker) ---------------- #
     say(f"[fleet:{worker_id}] rebuilding campaign {fingerprint[:12]}…")
-    injector, source, tasks, app_factory = _rebuild_campaign(spec)
+    injector, source, tasks, app_factory = _rebuild_campaign(manifest)
     say(
         f"[fleet:{worker_id}] warm: {len(tasks)} task(s) across "
         f"{slices} slice(s)"
@@ -770,11 +768,6 @@ def run_fleet_worker(
         manifest["ttl_seconds"],
         holder=worker_id,
     )
-    try:
-        base.put(WORKER_PREFIX + worker_id, b"enrolled")
-    except TransportError:
-        pass
-
     worker = _WorkerIO(base, worker_id)
     worker._beat(slice_id=-1, done=0)
 
@@ -896,28 +889,25 @@ class _WorkerIO:
             return False
 
 
-def _rebuild_campaign(spec: dict):
-    """Deterministically reconstruct the campaign from a manifest spec.
-
-    Everything here mirrors what ``mumak analyze`` does locally: same
-    app factory, same workload generator, same planner — so the task
-    list (and every injection result) is identical on every host.
-    """
+def _rebuild_campaign(manifest: dict):
+    """Rebuild the supervisor's campaign with the code ``Mumak.analyze``
+    runs: the config from the verified fingerprint payload, the app and
+    workload from the spec's recipe.  A rebuilt fingerprint or plan that
+    is not the manifest's (another recipe, target or version) is refused
+    (:class:`FleetError`) instead of run under this campaign's name."""
     # Imported lazily: repro.core imports this package for the fabric.
-    from repro.apps import APPLICATIONS
-    from repro.core.fault_injection import FaultInjector
-    from repro.core.harness import HarnessConfig
-    from repro.pmem.faultmodel import FaultModelConfig
-    from repro.recovery import RecoveryEngineConfig
+    from repro.apps import resolve_application
+    from repro.core.pipeline import MumakConfig, detect
     from repro.workloads import generate_workload
 
-    target = spec["target"]
-    if target not in APPLICATIONS:
+    spec = manifest["spec"]
+    try:
+        cls = resolve_application(spec["target"])
+    except KeyError:
         raise FleetError(
-            f"fleet manifest names unknown target {target!r}; "
+            f"fleet manifest names unknown target {spec['target']!r}; "
             "is this worker running the same mumak version?"
-        )
-    cls = APPLICATIONS[target]
+        ) from None
     options = dict(spec.get("options") or {})
     if options.get("bugs") is not None:
         options["bugs"] = frozenset(options["bugs"])
@@ -927,33 +917,27 @@ def _rebuild_campaign(spec: dict):
     def app_factory():
         return cls(**options)
 
-    workload = generate_workload(
-        spec["ops"], seed=spec["workload_seed"]
+    config = MumakConfig.from_fingerprint_payload(
+        manifest["fingerprint_payload"], **spec["config"]
     )
-    harness = HarnessConfig(
-        timeout_seconds=spec.get("timeout_seconds"),
-        step_budget=spec.get("step_budget"),
-        max_retries=spec.get("max_retries", 2),
+    runs, artifacts = detect(
+        app_factory,
+        generate_workload(spec["ops"], seed=spec["workload_seed"]),
+        seed=config.seed,
+        granularity=config.granularity,
+        require_store_since_last=config.require_store_since_last,
+        sched=config.sched,
     )
-    recovery_cfg = None
-    if spec.get("recovery_cache_enabled", True):
-        recovery_cfg = RecoveryEngineConfig.resolve(
-            "on",
-            spec.get("machine_pool", 1),
-            spec["scope"],
-            None,
-        )
-    injector = FaultInjector(
-        granularity=spec["granularity"],
-        require_store_since_last=spec["require_store_since_last"],
-        max_injections=spec.get("max_injections"),
-        harness=harness,
-        fault_model=FaultModelConfig(**spec["fault_model"]),
-        image_engine=spec.get("image_engine", "incremental"),
-        recovery=recovery_cfg,
-    )
-    runs = [injector.detect(app_factory, workload, spec["seed"])]
+    target_name = getattr(artifacts.app, "name", "target")
+    injector = config.injector(target_name)
     source, tasks = injector.plan(runs)
+    rebuilt = (config.fingerprint(target_name), plan_digest(tasks))
+    if rebuilt != (manifest["fingerprint"], manifest["plan"]):
+        raise FleetError(
+            f"this worker rebuilt {len(tasks)} task(s) whose fingerprint or "
+            "plan digest is not the manifest's; is it running the same "
+            "mumak version, target and workload?"
+        )
     return injector, source, tasks, app_factory
 
 
@@ -1040,7 +1024,6 @@ def _ship(
                 fleet_transport.put,
                 VCACHE_PREFIX + stem,
                 cache_bytes,
-                key=f"ship-vcache-{stem}",
                 on_retry=count_retry,
             )
         except TransportError:
@@ -1050,7 +1033,6 @@ def _ship(
             fleet_transport.put,
             JOURNAL_PREFIX + stem,
             journal_bytes,
-            key=f"ship-journal-{stem}",
             on_retry=count_retry,
         )
     except TransportError:
@@ -1065,15 +1047,14 @@ __all__ = [
     "FleetResult",
     "FleetStats",
     "FleetSupervisor",
-    "HEARTBEAT_PREFIX",
     "JOURNAL_PREFIX",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "VCACHE_PREFIX",
-    "WORKER_PREFIX",
     "WorkerSummary",
     "build_manifest",
     "fold_journal_bytes",
     "parse_manifest",
+    "plan_digest",
     "run_fleet_worker",
 ]

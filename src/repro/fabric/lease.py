@@ -16,8 +16,7 @@ transport's atomic ``create``.  The pieces:
 * **TTL deadlines** — each claim carries a deadline; a lease whose
   holder has neither renewed nor delivered by then is *expired* and may
   be reclaimed by anyone (including the original holder) at the next
-  token.  Reclaims are paced with the campaign's
-  ``deterministic_backoff`` so a flapping transport does not stampede.
+  token.
 * **Renewal** — holders extend their deadline by overwriting the claim
   object (a plain ``put``: the name already encodes the token, so
   overwrite cannot race a *different* claim).
@@ -33,7 +32,7 @@ import dataclasses
 import json
 import re
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import TransportError, TransportMissing
 from repro.fabric.transport import Transport
@@ -77,7 +76,7 @@ def parse_claim_name(name: str) -> Optional[tuple]:
 
 
 class LeaseQueue:
-    """The lease protocol, from either side (worker claims, supervisor scans).
+    """The lease protocol, as a worker sees it.
 
     All state lives in the transport; a ``LeaseQueue`` is just a view
     plus the claim/renew/reclaim operations.  Two queues on two hosts
@@ -90,28 +89,17 @@ class LeaseQueue:
         slices: int,
         ttl_seconds: float,
         holder: str,
-        reclaim_backoff_base: float = 0.0,
-        backoff: Callable[[str, int, float], float] = None,
         clock: Callable[[], float] = time.time,
     ):
         if slices < 1:
             raise ValueError(f"slices must be >= 1, got {slices}")
         if ttl_seconds <= 0:
             raise ValueError(f"ttl_seconds must be > 0, got {ttl_seconds}")
-        if backoff is None:
-            from repro.core.harness import deterministic_backoff
-            backoff = deterministic_backoff
         self.transport = transport
         self.slices = slices
         self.ttl_seconds = float(ttl_seconds)
         self.holder = holder
-        self.reclaim_backoff_base = reclaim_backoff_base
-        self._backoff = backoff
         self._clock = clock
-        #: reclaim attempts per slice, pacing the deterministic backoff
-        self._reclaims: Dict[int, int] = {}
-        #: earliest clock at which each slice may be re-claimed by us
-        self._not_before: Dict[int, float] = {}
 
     # -- shared view ---------------------------------------------------- #
 
@@ -159,9 +147,8 @@ class LeaseQueue:
 
         A slice is claimable when it is not in ``done`` and has either
         no claim yet or only an expired one.  Expired slices are
-        re-claimed at ``token + 1`` (the fence), paced by the
-        deterministic reclaim backoff so losers of a race do not
-        immediately pile back on.
+        re-claimed at ``token + 1`` (the fence); a worker that loses the
+        race for one slice moves on to the next.
         """
         done = done or set()
         now = self._clock()
@@ -173,8 +160,6 @@ class LeaseQueue:
             if current is None:
                 token = 1
             elif current.expired(now):
-                if now < self._not_before.get(slice_id, 0.0):
-                    continue
                 token = current.token + 1
             else:
                 continue
@@ -185,15 +170,7 @@ class LeaseQueue:
                 deadline=now + self.ttl_seconds,
             )
             if self.transport.create(lease.name, lease.payload()):
-                self._reclaims.pop(slice_id, None)
-                self._not_before.pop(slice_id, None)
                 return lease
-            # Lost the race; pace our next attempt on this slice.
-            attempt = self._reclaims.get(slice_id, 0) + 1
-            self._reclaims[slice_id] = attempt
-            self._not_before[slice_id] = now + self._backoff(
-                f"lease-{slice_id}", attempt, self.reclaim_backoff_base
-            )
         return None
 
     def renew(self, lease: Lease) -> Lease:
@@ -204,28 +181,6 @@ class LeaseQueue:
         )
         self.transport.put(renewed.name, renewed.payload())
         return renewed
-
-    def still_current(self, lease: Lease) -> bool:
-        """True while ``lease`` holds the highest token for its slice.
-
-        A worker checks this before shipping expensive deliveries; a
-        stale worker's uploads are still accepted (idempotent merge)
-        but it should stop burning cycles on a reclaimed slice.
-        """
-        current = self.latest_claims().get(lease.slice_id)
-        return current is not None and current.token == lease.token
-
-    # -- supervisor side ------------------------------------------------ #
-
-    def expired_slices(self, done: Optional[set] = None) -> List[Lease]:
-        """Claims past their deadline for slices not yet complete."""
-        done = done or set()
-        now = self._clock()
-        return [
-            lease
-            for slice_id, lease in sorted(self.latest_claims().items())
-            if slice_id not in done and lease.expired(now)
-        ]
 
 
 __all__ = ["LEASE_PREFIX", "Lease", "LeaseQueue", "parse_claim_name"]

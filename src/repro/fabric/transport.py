@@ -74,9 +74,6 @@ class Transport:
         already existed (somebody else won the race)."""
         raise NotImplementedError
 
-    def delete(self, name: str) -> None:
-        raise NotImplementedError
-
 
 class DirTransport(Transport):
     """Shared-directory transport with rename-commit atomicity.
@@ -191,14 +188,6 @@ class DirTransport(Transport):
             except OSError:  # pragma: no cover - tmp already gone
                 pass
 
-    def delete(self, name: str) -> None:
-        try:
-            os.unlink(self._path(name))
-        except FileNotFoundError:
-            pass
-        except OSError as err:
-            raise TransportError(f"delete {name!r} failed: {err}")
-
 
 class ChaosTransport(Transport):
     """Seeded transport faults: drop/duplicate/tear uploads, delay beats.
@@ -266,30 +255,21 @@ class ChaosTransport(Transport):
     def create(self, name: str, data: bytes) -> bool:
         return self.inner.create(name, data)
 
-    def delete(self, name: str) -> None:
-        self.inner.delete(name)
-
 
 def reliable(
     operation: Callable,
     *args,
     retries: int = 4,
-    backoff_base: float = 0.0,
-    key: str = "transport",
     on_retry: Optional[Callable[[int], None]] = None,
-    sleep: Callable[[float], None] = time.sleep,
 ):
-    """Run a transport operation with a bounded deterministic retry loop.
+    """Run a transport operation with a bounded retry loop.
 
     Retries :class:`TransportError` (not :class:`TransportMissing` —
-    absence is an answer, not a failure) up to ``retries`` times with
-    :func:`~repro.core.harness.deterministic_backoff`; re-raises when the
-    budget is exhausted so callers can degrade gracefully.  ``on_retry``
-    observes each retry (the fleet counts them as
-    ``fleet_transport_retries``).
+    absence is an answer, not a failure) up to ``retries`` times at
+    once; re-raises when the budget is exhausted so callers can degrade
+    gracefully.  ``on_retry`` observes each retry (the fleet counts them
+    as ``fleet_transport_retries``).
     """
-    from repro.core.harness import deterministic_backoff
-
     attempt = 0
     while True:
         try:
@@ -302,7 +282,6 @@ def reliable(
                 raise
             if on_retry is not None:
                 on_retry(attempt)
-            sleep(deterministic_backoff(key, attempt, backoff_base))
 
 
 __all__ = [

@@ -40,11 +40,3 @@ def cache_lines_spanned(address: int, size: int) -> range:
     first = cache_line_of(address)
     last = cache_line_of(address + size - 1)
     return range(first, last + CACHE_LINE_SIZE, CACHE_LINE_SIZE)
-
-
-def is_word_atomic(address: int, size: int) -> bool:
-    """Return True if a write is covered by the 8-byte atomicity guarantee."""
-    if size > ATOMIC_WRITE_SIZE:
-        return False
-    word_base = address & ~(ATOMIC_WRITE_SIZE - 1)
-    return address + size <= word_base + ATOMIC_WRITE_SIZE

@@ -141,6 +141,17 @@ class FaultModelConfig:
             "media_poisoned_lines": self.media_poisoned_lines,
         }
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "FaultModelConfig":
+        """The inverse of :meth:`payload`, which records the enabled
+        families, not the toggles: the toggles come back as the enabled
+        flags, so the rebuilt config enables the same families."""
+        return cls(
+            payload["model"], payload["torn_writes"], payload["media_errors"],
+            payload["samples"], payload["fault_seed"],
+            payload["media_bit_flips"], payload["media_poisoned_lines"],
+        )
+
 
 @dataclass(frozen=True)
 class CrashImage:

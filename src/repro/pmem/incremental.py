@@ -279,10 +279,6 @@ class IncrementalImageEngine:
     def version(self) -> int:
         return self._version
 
-    def running_view(self) -> memoryview:
-        """Read-only view of the running image (valid until ``advance``)."""
-        return memoryview(self._running).toreadonly()
-
     def advance(self, fail_seq: int) -> None:
         """Make the running image the program-order prefix at ``fail_seq``."""
         if fail_seq < self._version:

@@ -91,13 +91,11 @@ class SchedConfig:
         return f"threads={self.threads},seed={self.seed},samples={self.samples}"
 
 
-def sched_payload(config: Optional[SchedConfig]) -> Optional[Dict[str, int]]:
-    """Fingerprint helper tolerating the scheduler being off."""
-    return config.payload() if config is not None else None
-
-
-def sched_from_payload(payload: Optional[Dict[str, int]]) -> Optional[SchedConfig]:
-    """Rebuild a :class:`SchedConfig` from a fingerprint/fleet payload."""
+def sched_from_payload(
+    payload: Optional[Dict[str, int]]
+) -> Optional[SchedConfig]:
+    """The inverse of :meth:`SchedConfig.payload`, tolerating the
+    scheduler being off (a fleet worker rebuilds its config with it)."""
     if payload is None:
         return None
     return SchedConfig(

@@ -22,7 +22,6 @@ from repro.core.harness import (
     HarnessConfig,
     InjectionTask,
     campaign_fingerprint,
-    deterministic_backoff,
     execute_injection,
     load_checkpoint,
     read_journal,
@@ -318,38 +317,6 @@ class TestContainment:
         )
         assert result.quarantine is not None
         assert result.quarantine.phase == "materialise"
-
-    def test_backoff_sleeps_are_deterministic(self, monkey_run):
-        _, _, final = monkey_run
-        config = HarnessConfig(max_retries=2, backoff_base=0.01)
-        task = InjectionTask(index=0, stack=("a", "b"), seq=0)
-        expected = [
-            deterministic_backoff("a/b", attempt, 0.01)
-            for attempt in (1, 2)
-        ]
-        for _ in range(2):  # identical across runs
-            slept = []
-            factory = FlakyFactory(failures=2)
-            execute_injection(
-                task, lambda _t: final, factory, config, sleep=slept.append
-            )
-            assert slept == expected
-        assert all(delay > 0 for delay in expected)
-
-    def test_non_transient_errors_do_not_sleep(self, monkey_run):
-        _, _, final = monkey_run
-        slept = []
-        factory = FlakyFactory(failures=99, exc=ValueError)
-        config = HarnessConfig(max_retries=2, backoff_base=0.01)
-        task = InjectionTask(index=0, stack=("fp",), seq=0)
-        result = execute_injection(
-            task, lambda _t: final, factory, config, sleep=slept.append
-        )
-        assert result.quarantine is not None
-        assert slept == []
-
-    def test_backoff_base_zero_never_sleeps(self):
-        assert deterministic_backoff("k", 1, 0.0) == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ import pytest
 from repro.apps import APPLICATIONS
 from repro.core import Mumak, MumakConfig
 from repro.core.fault_injection import FaultInjector
+from repro.core.pipeline import detect
 from repro.pmem.faultmodel import FaultModelConfig
 from repro.pmem.incremental import (
     ENGINE_IMAGE_INCREMENTAL,
@@ -169,8 +170,8 @@ class TestHotPathAccounting:
         assert stats.adversarial_injections > 0
         assert stats.image.images == stats.injections
         assert stats.image.pool_misses >= 1
-        detection = FaultInjector().detect(
-            factory, generate_workload(N_OPS, seed=SEED), SEED
+        [detection], _ = detect(
+            factory, generate_workload(N_OPS, seed=SEED), seed=SEED
         )
         stop = persisted_write_extent(detection.trace)[1]
         assert stop < factory().pool_size

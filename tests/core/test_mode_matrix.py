@@ -26,21 +26,27 @@ from repro.sched.config import SchedConfig
 from repro.workloads import generate_workload
 
 BTREE_OPS = 20
+#: The app recipe a fleet manifest ships for the btree cells.
+BTREE_RECIPE = {"target": "btree", "options": {"spt": True},
+                "ops": BTREE_OPS, "workload_seed": 0}
 
-#: target -> (app factory, workload, config knobs).  btree is capped:
-#: its adversarial variants copy a 32 MiB pool, and the replay engine
-#: re-executes it per failure point.  The scheduled target's pool is
-#: small enough to run uncapped.
+#: target -> (app factory, workload, config knobs, fleet recipe).
+#: btree is capped: its adversarial variants copy a 32 MiB pool, and the
+#: replay engine re-executes it per failure point.  The scheduled
+#: target's pool is small enough to run uncapped.
 TARGETS = {
     "btree": (
         lambda: BTree(spt=True),
         generate_workload(BTREE_OPS, seed=0),
         {"max_injections": 12},
+        BTREE_RECIPE,
     ),
     "msgqueue_tso": (
         MsgQueueTSO,
         generate_workload(16, seed=7),
         {"sched": SchedConfig(threads=2, seed=3, samples=3)},
+        {"target": "msgqueue_tso", "options": {}, "ops": 16,
+         "workload_seed": 7},
     ),
 }
 FAULT_MODELS = ("prefix", "adversarial")
@@ -54,16 +60,13 @@ TABLE_MESSAGES = {message for _, message in _REFUSALS}
 
 
 def refused(target, executor, engine):
-    """The cells the refusal table must refuse, and only those."""
+    """The cells the refusal table must refuse, and only those: --sched,
+    --shards/--chaos and --fleet need the trace engine."""
     sched = target == "msgqueue_tso"
-    # --sched, --shards/--chaos and --fleet need the trace engine.
-    if engine == "replay" and (sched or executor != "serial"):
-        return True
-    # Schedule samples are process-local detection products.
-    return sched and executor == "fleet"
+    return engine == "replay" and (sched or executor != "serial")
 
 
-def executor_knobs(executor, tmp_path):
+def executor_knobs(executor, tmp_path, recipe=BTREE_RECIPE):
     if executor == "shards":
         return {"shards": 2}
     if executor == "chaos":
@@ -73,19 +76,14 @@ def executor_knobs(executor, tmp_path):
         return {
             "fleet_dir": str(tmp_path / "fleet"),
             "fleet_patience_seconds": 0,
-            "campaign_spec": {
-                "target": "btree",
-                "options": {"spt": True},
-                "ops": BTREE_OPS,
-                "workload_seed": 0,
-            },
+            "campaign_spec": recipe,
         }
     return {}
 
 
 def campaign(tmp_path, target, model, cache, executor, engine):
     """Run one cell; return its checkpoint path."""
-    factory, workload, knobs = TARGETS[target]
+    factory, workload, knobs, recipe = TARGETS[target]
     path = str(tmp_path / "campaign.jsonl")
     config = MumakConfig(
         engine=engine,
@@ -93,7 +91,7 @@ def campaign(tmp_path, target, model, cache, executor, engine):
         recovery_cache=cache,
         checkpoint_path=path,
         **knobs,
-        **executor_knobs(executor, tmp_path),
+        **executor_knobs(executor, tmp_path, recipe),
     )
     Mumak(config).analyze(factory, workload)
     return path

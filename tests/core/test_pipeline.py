@@ -1,10 +1,13 @@
 """End-to-end pipeline and report tests."""
 
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.btree import BTree
 from repro.apps.hashmap_atomic import HashmapAtomic
@@ -18,6 +21,8 @@ from repro.core import (
     PHASE_TRACE_ANALYSIS,
 )
 from repro.errors import ConfigError
+from repro.instrument.tracer import GRANULARITY_PERSISTENCY, GRANULARITY_STORE
+from repro.pmem.faultmodel import MODELS, FaultModelConfig
 from repro.sched.config import SchedConfig
 from repro.workloads import generate_workload
 
@@ -51,6 +56,13 @@ REFUSED = {
     ),
     "fleet-without-spec": (
         lambda tmp: {"fleet_dir": str(tmp / "fleet")}, "campaign_spec"
+    ),
+    # A worker cannot rebuild the workload without these: it died with
+    # KeyError('ops') and the supervisor fell back to local execution.
+    "fleet-spec-without-workload": (
+        lambda tmp: {"fleet_dir": str(tmp / "fleet"),
+                     "campaign_spec": {"target": "btree"}},
+        "campaign_spec",
     ),
     "transport-chaos-without-fleet": (
         lambda tmp: {"transport_chaos": "drop=0.5"},
@@ -179,6 +191,65 @@ class TestLibraryRefusals:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+FAULT_MODELS = st.builds(
+    FaultModelConfig,
+    model=st.sampled_from(MODELS),
+    torn_writes=st.booleans(),
+    media_errors=st.booleans(),
+    samples=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+    media_bit_flips=st.integers(0, 4),
+    media_poisoned_lines=st.integers(0, 4),
+)
+SCHEDS = st.none() | st.builds(
+    SchedConfig,
+    threads=st.integers(1, 4),
+    seed=st.integers(0, 1000),
+    samples=st.integers(1, 16),
+)
+CONFIGS = st.builds(
+    MumakConfig,
+    granularity=st.sampled_from((GRANULARITY_PERSISTENCY, GRANULARITY_STORE)),
+    require_store_since_last=st.booleans(),
+    engine=st.sampled_from(("trace", "replay")),
+    eadr=st.booleans(),
+    max_injections=st.none() | st.integers(0, 10**6),
+    seed=st.integers(0, 2**32),
+    timeout_seconds=st.none() | st.floats(1e-3, 1e4),
+    step_budget=st.none() | st.integers(1, 10**9),
+    max_retries=st.integers(0, 4),
+    recovery_cache=st.sampled_from(("on", "off", "/elsewhere/c.vcache")),
+    machine_pool=st.integers(0, 2),
+    fault_model=FAULT_MODELS,
+    sched=SCHEDS,
+)
+
+
+class TestFingerprintPayloadRoundTrip:
+    """A fleet worker runs the config it rebuilds from the manifest's
+    verified fingerprint payload, so the rebuild must be the campaign the
+    supervisor fingerprinted."""
+
+    @given(config=CONFIGS)
+    @settings(max_examples=200, deadline=None)
+    def test_rebuilt_config_is_the_same_campaign(self, config):
+        payload = json.loads(json.dumps(config.fingerprint_payload("btree")))
+        rebuilt = MumakConfig.from_fingerprint_payload(
+            payload, **config.worker_knobs()
+        )
+        assert rebuilt.fingerprint("btree") == config.fingerprint("btree")
+        for family in ("torn_enabled", "reorder_enabled", "media_enabled"):
+            assert getattr(rebuilt.fault_model, family) == getattr(
+                config.fault_model, family
+            )
+        assert rebuilt.sched == config.sched
+        ours, theirs = config.injector("btree"), rebuilt.injector("btree")
+        assert theirs.harness == ours.harness
+        assert theirs.recovery.scope == ours.recovery.scope
+        assert theirs.recovery.cache_enabled == ours.recovery.cache_enabled
+        assert theirs.recovery.machine_pool == ours.recovery.machine_pool
 
 
 class TestReport:

@@ -1,7 +1,8 @@
 """Fleet-fabric equivalence: campaigns distributed over a shared-dir
 transport — with live workers, under transport chaos, with expired
-leases racing, or with no workers at all — merge to a campaign journal
-byte-identical to the serial run.
+leases racing, scheduled (``--sched``), or with no workers at all —
+merge to a campaign journal byte-identical to the serial run, and a
+worker whose recipe differs from the supervisor's refuses to serve.
 
 Worker processes are exercised as threads here (same code path as
 ``mumak fleet worker``, minus the process boundary — that is covered by
@@ -16,6 +17,7 @@ import types
 import pytest
 
 from repro.apps.btree import BTree
+from repro.apps.msgqueue_tso import MsgQueueTSO
 from repro.core import Mumak, MumakConfig
 from repro.core.harness import JOURNAL_VERSION, campaign_fingerprint
 from repro.errors import FleetError
@@ -23,12 +25,14 @@ from repro.fabric import find_shard_journals
 from repro.fabric.fleet import (
     COMPLETE_NAME,
     DRAIN_NAME,
+    MANIFEST_NAME,
     FleetConfig,
     FleetSupervisor,
     build_manifest,
     run_fleet_worker,
 )
 from repro.fabric.transport import DirTransport
+from repro.sched.config import SchedConfig
 from repro.workloads import generate_workload
 
 OPS = 60
@@ -205,6 +209,131 @@ class TestFleetEqualsSerial:
                 tmp_path, "reused", fleet_dir=fleet,
                 fleet_patience_seconds=0.2,
             )
+
+    def test_scheduled_campaign_runs_on_a_thread_worker(self, tmp_path):
+        """A worker rebuilds every schedule sample through the
+        pipeline's own detection, so --sched runs on the fleet and its
+        journal is the serial one, with no slice left to the fallback."""
+        workload = generate_workload(16, seed=7)
+        knobs = {
+            "sched": SchedConfig(threads=2, seed=3, samples=3),
+            "checkpoint_interval": 1,
+        }
+        serial_ckpt = str(tmp_path / "serial.jsonl")
+        Mumak(MumakConfig(checkpoint_path=serial_ckpt, **knobs)).analyze(
+            MsgQueueTSO, workload
+        )
+        fleet = str(tmp_path / "fleet")
+        os.makedirs(fleet)
+        summaries, errors = [], []
+        worker = _start_worker(fleet, "sw1", summaries, errors)
+        ckpt = str(tmp_path / "fleet.jsonl")
+        result = Mumak(
+            MumakConfig(
+                checkpoint_path=ckpt,
+                fleet_dir=fleet,
+                fleet_patience_seconds=120.0,
+                campaign_spec={
+                    "target": "msgqueue_tso",
+                    "options": {},
+                    "ops": 16,
+                    "workload_seed": 7,
+                },
+                **knobs,
+            )
+        ).analyze(MsgQueueTSO, workload)
+        worker.join(timeout=60)
+        assert not worker.is_alive() and not errors
+        stats = result.fault_injection.stats
+        assert open(ckpt, "rb").read() == open(serial_ckpt, "rb").read()
+        assert stats.schedules == 3
+        assert stats.fleet.workers == 1
+        assert stats.fleet.local_fallback_tasks == 0
+        assert summaries[0].tasks_run == stats.injections
+
+
+# ------------------------------------------------------------------ #
+# a worker never runs a plan that is not the supervisor's
+# ------------------------------------------------------------------ #
+
+
+class _RewritingTransport(DirTransport):
+    """Hands the worker the manifest with ``edits`` applied to its
+    ``spec``, as a transport that rewrites objects in flight would."""
+
+    def __init__(self, root, edits):
+        super().__init__(root)
+        self.edits = edits
+
+    def get(self, name):
+        data = super().get(name)
+        if name != MANIFEST_NAME:
+            return data
+        manifest = json.loads(data)
+        manifest["spec"].update(self.edits)
+        return json.dumps(manifest).encode()
+
+
+def _analyze_with_rewritten_spec(tmp_path, edits):
+    fleet = str(tmp_path / "fleet")
+    os.makedirs(fleet)
+    summaries, errors = [], []
+    worker = _start_worker(
+        fleet, "rw1", summaries, errors,
+        transport=_RewritingTransport(fleet, edits),
+    )
+    ckpt, result = _analyze(
+        tmp_path, "rewritten", fleet_dir=fleet,
+        fleet_patience_seconds=5.0,
+    )
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return fleet, ckpt, result, errors
+
+
+@pytest.mark.slow
+class TestWorkerRefusesAnotherPlan:
+    def test_rewritten_recipe_is_refused_before_any_claim(
+        self, serial, tmp_path
+    ):
+        """The fingerprint leaves the workload out, so a worker whose
+        recipe says 80 ops would serve another plan under this campaign's
+        name.  The plan digest makes it refuse before its first heartbeat
+        or claim; the supervisor finishes every slice locally."""
+        fleet, ckpt, result, errors = _analyze_with_rewritten_spec(
+            tmp_path, {"ops": OPS + 20}
+        )
+        assert len(errors) == 1 and isinstance(errors[0], FleetError)
+        assert "plan" in str(errors[0])
+        transport = DirTransport(fleet)
+        assert transport.list("hb/") == [] and transport.list("lease/") == []
+        stats = result.fault_injection.stats
+        assert stats.fleet.local_fallback_tasks == stats.injections
+        assert open(ckpt, "rb").read() == serial["journal"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"granularity": "store"},
+            {"fault_model": dict(
+                model="torn", torn_writes=True, media_errors=False,
+                samples=2, seed=0, media_bit_flips=1, media_poisoned_lines=1,
+            )},
+        ],
+        ids=["granularity", "fault_model"],
+    )
+    def test_rewritten_config_value_changes_nothing(
+        self, serial, tmp_path, edit
+    ):
+        """A worker builds its config from the verified fingerprint
+        payload, so a config value rewritten in the spec is not what it
+        runs: the journal is the serial one."""
+        _, ckpt, result, errors = _analyze_with_rewritten_spec(
+            tmp_path, edit
+        )
+        assert not errors
+        assert open(ckpt, "rb").read() == serial["journal"]
+        assert result.report.render() == serial["render"]
 
 
 # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Lease protocol: TTL claims, fencing tokens, paced reclaim."""
+"""Lease protocol: TTL claims, fencing tokens, reclaim at the next token."""
 
 import json
 
@@ -19,15 +19,13 @@ class FakeClock:
         self.now += dt
 
 
-def _queue(tmp_path, holder="w1", clock=None, ttl=10.0, slices=2,
-           backoff=None):
+def _queue(tmp_path, holder="w1", clock=None, ttl=10.0, slices=2):
     return LeaseQueue(
         DirTransport(str(tmp_path)),
         slices=slices,
         ttl_seconds=ttl,
         holder=holder,
         clock=clock or FakeClock(),
-        backoff=backoff or (lambda key, attempt, base: 0.0),
     )
 
 
@@ -75,8 +73,7 @@ def test_expired_claim_is_reclaimed_at_next_token(tmp_path):
     second = q2.claim()
     assert second is not None
     assert second.token == first.token + 1  # the fence
-    assert q1.still_current(first) is False
-    assert q2.still_current(second) is True
+    assert q1.latest_claims()[0] == second  # both views see the new token
 
 
 def test_renew_extends_the_deadline(tmp_path):
@@ -88,7 +85,7 @@ def test_renew_extends_the_deadline(tmp_path):
     lease = q.renew(lease)
     clock.advance(8.0)  # 16s since claim, 8s since renewal
     assert other.claim() is None  # renewal kept the lease alive
-    assert q.still_current(lease)
+    assert other.latest_claims()[0] == lease
 
 
 def test_unreadable_claim_fences_but_expires_immediately(tmp_path):
@@ -100,48 +97,6 @@ def test_unreadable_claim_fences_but_expires_immediately(tmp_path):
     lease = q.claim()
     assert lease is not None
     assert lease.token == 6  # fenced above the unreadable claim
-
-
-def test_lost_race_is_paced_by_backoff(tmp_path):
-    clock = FakeClock()
-    paced = []
-
-    def backoff(key, attempt, base):
-        paced.append((key, attempt))
-        return 5.0
-
-    q = _queue(tmp_path, holder="w2", clock=clock, slices=1, backoff=backoff)
-    # Simulate losing the create() race: between our latest_claims()
-    # listing and our create(), somebody else lands the claim object.
-    real_create = q.transport.create
-    q.transport.create = lambda name, data: False
-
-    q.transport.put("lease/0.t1", json.dumps(
-        {"holder": "w1", "deadline": clock() - 1.0}
-    ).encode())
-    assert q.claim() is None       # lost the reclaim race: paced
-    assert paced == [("lease-0", 1)]
-    # Inside the backoff window the slice is skipped without a retry.
-    clock.advance(1.0)
-    assert q.claim() is None
-    assert paced == [("lease-0", 1)]
-    # Past the window: the reclaim is attempted again (and now wins).
-    clock.advance(5.0)
-    q.transport.create = real_create
-    lease = q.claim()
-    assert lease is not None and lease.token == 2
-
-
-def test_expired_slices_reports_supervisor_view(tmp_path):
-    clock = FakeClock()
-    q = _queue(tmp_path, clock=clock, slices=2, ttl=10.0)
-    q.claim()
-    q.claim()
-    assert q.expired_slices() == []
-    clock.advance(10.0)
-    expired = q.expired_slices()
-    assert [lease.slice_id for lease in expired] == [0, 1]
-    assert q.expired_slices(done={0}) == expired[1:]
 
 
 def test_latest_claims_ignores_foreign_and_low_tokens(tmp_path):

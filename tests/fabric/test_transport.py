@@ -88,14 +88,6 @@ class TestDirTransport:
         assert len(wins) == 1
         assert t.get("lease/3.t1") == b"%d" % wins[0]
 
-    def test_delete_is_idempotent(self, tmp_path):
-        t = DirTransport(str(tmp_path))
-        t.put("a/b", b"x")
-        t.delete("a/b")
-        t.delete("a/b")  # second delete is a no-op, not an error
-        with pytest.raises(TransportMissing):
-            t.get("a/b")
-
     def test_two_views_of_one_root_agree(self, tmp_path):
         a = DirTransport(str(tmp_path))
         b = DirTransport(str(tmp_path))
@@ -190,21 +182,18 @@ class TestReliable:
     def test_retries_transport_error_until_success(self):
         flaky = _Flaky(failures=2)
         retried = []
-        out = reliable(
-            flaky.get, "x", retries=4, on_retry=retried.append,
-            sleep=lambda _: None,
-        )
+        out = reliable(flaky.get, "x", retries=4, on_retry=retried.append)
         assert out == b"ok"
         assert retried == [1, 2]
 
     def test_exhausted_budget_reraises(self):
         flaky = _Flaky(failures=10)
         with pytest.raises(TransportError):
-            reliable(flaky.get, "x", retries=3, sleep=lambda _: None)
+            reliable(flaky.get, "x", retries=3)
         assert flaky.calls == 4  # initial try + 3 retries
 
     def test_missing_is_an_answer_not_a_failure(self):
         flaky = _Flaky(failures=10, exc=TransportMissing)
         with pytest.raises(TransportMissing):
-            reliable(flaky.get, "x", retries=3, sleep=lambda _: None)
+            reliable(flaky.get, "x", retries=3)
         assert flaky.calls == 1  # absence is never retried

@@ -23,6 +23,10 @@ from repro.pmem.events import MemoryEvent, Opcode
 from repro.pmem.incremental import MaterialisedImage
 
 PM_SIZE = 32 * 1024
+#: The shortest script the state-space properties draw.  Without a
+#: ``min_size`` a ``max_size=60`` list averages 4-5 ops, so few scripts
+#: evict or touch more than a couple of lines; at 20 most do both.
+MIN_OPS = 20
 
 op_strategy = st.tuples(
     st.sampled_from(["store", "clwb", "clflushopt", "clflush", "sfence",
@@ -84,7 +88,7 @@ def drive(machine, script):
 
 class TestVisibilityProperties:
     @settings(deadline=None, max_examples=60)
-    @given(st.lists(op_strategy, max_size=50))
+    @given(st.lists(op_strategy, min_size=MIN_OPS, max_size=50))
     @example(CLFLUSH_AFTER_WEAK_FLUSH[0])
     @example(CLFLUSH_AFTER_WEAK_FLUSH[1])
     def test_loads_always_see_latest_store(self, script):
@@ -104,7 +108,7 @@ class TestVisibilityProperties:
         assert machine.crash_image()[256] == 1
 
     @settings(deadline=None, max_examples=60)
-    @given(st.lists(op_strategy, max_size=50))
+    @given(st.lists(op_strategy, min_size=MIN_OPS, max_size=50))
     def test_crash_never_invents_data(self, script):
         """Every nonzero byte in the crash image was stored at some point."""
         machine = PMachine(pm_size=PM_SIZE)
@@ -118,7 +122,7 @@ class TestVisibilityProperties:
             assert byte == 0 or byte in written
 
     @settings(deadline=None, max_examples=40)
-    @given(st.lists(op_strategy, max_size=50))
+    @given(st.lists(op_strategy, min_size=MIN_OPS, max_size=50))
     def test_graceful_image_supersets_power_loss(self, script):
         """Whatever survives power loss also survives a graceful crash —
         except where program order wrote something *newer*: the graceful
@@ -138,7 +142,7 @@ class TestVisibilityProperties:
                 )
 
     @settings(deadline=None, max_examples=40)
-    @given(st.lists(op_strategy, max_size=40))
+    @given(st.lists(op_strategy, min_size=MIN_OPS, max_size=40))
     def test_eadr_image_supersets_adr(self, script):
         """An eADR machine never loses anything an ADR one keeps —
         except where the (persistent) caches hold something *newer*: a
@@ -162,7 +166,7 @@ class TestVisibilityProperties:
 class TestEvictionProperties:
     @settings(deadline=None, max_examples=30)
     @given(
-        st.lists(op_strategy, max_size=60),
+        st.lists(op_strategy, min_size=MIN_OPS, max_size=60),
         st.sampled_from(["lru", "random"]),
         st.integers(0, 100),
     )
@@ -179,7 +183,10 @@ class TestEvictionProperties:
             assert byte == 0 or byte in written
 
     @settings(deadline=None, max_examples=30)
-    @given(st.lists(op_strategy, min_size=1, max_size=60), st.integers(0, 50))
+    @given(
+        st.lists(op_strategy, min_size=MIN_OPS, max_size=60),
+        st.integers(0, 50),
+    )
     def test_visibility_immune_to_eviction(self, script, seed):
         """Eviction must never change what loads observe."""
         plain = PMachine(pm_size=PM_SIZE)
@@ -276,7 +283,10 @@ medium_op = st.one_of(
 
 
 def machine_config():
-    return {"cache_capacity": 4, "eviction": LRUEviction()}
+    """A two-line LRU cache: one op in seven crashes the machine and
+    empties its cache, so with four lines only about one script in ten
+    ever evicted; with two, most scripts of ``MIN_OPS`` or more do."""
+    return {"cache_capacity": 2, "eviction": LRUEviction()}
 
 
 def step(machine, op):
@@ -329,7 +339,7 @@ def reboot(image, poisoned, mode, cut):
 
 class TestExtentBackedMedium:
     @settings(deadline=None, max_examples=150)
-    @given(st.lists(medium_op, max_size=60))
+    @given(st.lists(medium_op, min_size=MIN_OPS, max_size=60))
     def test_matches_a_flat_medium(self, script):
         """Loads, exception types, crash images, graceful images and
         poison sets are those of a flat pool-sized medium."""
@@ -614,7 +624,7 @@ def traced_pair(machines, trace_loads):
 class TestFastPathMatchesReference:
     @settings(deadline=None, max_examples=150)
     @given(
-        st.lists(fast_path_op, max_size=60),
+        st.lists(fast_path_op, min_size=MIN_OPS, max_size=60),
         st.sampled_from([None, False, True]),
     )
     def test_matches_the_per_line_machine(self, script, trace_loads):

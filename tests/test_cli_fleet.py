@@ -2,12 +2,17 @@
 resume hint, the ``mumak fleet worker`` subcommand, and the fleet
 sections of the summary and ``mumak obs report``."""
 
+import json
 import shlex
 
 import pytest
 
 from repro.cli import _resume_flags, build_parser, main
+from repro.core import MumakConfig
+from repro.core.harness import campaign_fingerprint
+from repro.fabric.fleet import MANIFEST_NAME, FleetConfig, build_manifest
 from repro.fabric.signals import DrainController
+from repro.fabric.transport import DirTransport
 
 
 class TestFleetFlagValidation:
@@ -133,6 +138,30 @@ class TestFleetWorkerCommand:
         assert "no campaign manifest" in captured.err
         assert "mumak analyze --fleet" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_another_plan_is_a_refusal_before_any_heartbeat(
+        self, capsys, tmp_path
+    ):
+        """A manifest whose plan digest is not the plan this worker
+        rebuilds (here: a supervisor that planned other work) exits 2
+        with one line, and the worker never beats or claims."""
+        config = MumakConfig(seed=0)
+        payload = config.fingerprint_payload("btree")
+        manifest = build_manifest(
+            campaign_fingerprint(payload), payload, 0,
+            FleetConfig(root=str(tmp_path)),
+            {"target": "btree", "options": {"spt": True}, "ops": 20,
+             "workload_seed": 0, "config": config.worker_knobs()},
+            plan="0" * 64,
+        )
+        transport = DirTransport(str(tmp_path))
+        transport.put(MANIFEST_NAME, json.dumps(manifest).encode())
+        code = main(["fleet", "worker", str(tmp_path), "--poll", "0.02"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "plan digest" in captured.err
+        assert "Traceback" not in captured.err
+        assert transport.list("hb/") == [] and transport.list("lease/") == []
 
 
 @pytest.mark.slow
