@@ -27,7 +27,6 @@ from repro.core.harness import supervised_call
 from repro.core.oracle import format_capped_trace
 from repro.core.report import AnalysisReport
 from repro.core.resources import ResourceUsage
-from repro.core.taxonomy import BugKind
 from repro.errors import ToolError, WatchdogTimeout
 from repro.obs.spans import NULL_TELEMETRY
 

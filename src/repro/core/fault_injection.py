@@ -206,6 +206,9 @@ class DetectionRun:
     candidates: int = 0
     #: Simulated threads the run was scheduled over (0 = unscheduled).
     threads: int = 0
+    #: ``sites[seq]`` is the code site of ``trace[seq]``, recorded only
+    #: by the run trace analysis reads (None otherwise).
+    sites: Optional[List[str]] = None
 
 
 class FaultInjector:

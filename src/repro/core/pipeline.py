@@ -7,8 +7,9 @@ pipeline:
    the failure point tree and the PM access trace;
 2. injects one fault per unique failure point and consults the recovery
    oracle (fault-injection phase);
-3. single-passes the trace for misuse patterns and resolves debug
-   information for flagged instructions (trace-analysis phase);
+3. single-passes the trace for misuse patterns and looks up the code site
+   of each flagged instruction in the sites the instrumented run recorded
+   (trace-analysis phase);
 4. merges both phases' findings into one deduplicated report.
 """
 
@@ -44,6 +45,9 @@ from repro.core.trace_analysis import (
     TraceAnalysisStats,
     TraceAnalyzer,
     findings_with_sites,
+    # Unused here since the detection run records sites, but the
+    # benchmark's layer tracer (perfbench/tracer.py) patches both names
+    # in this module.
     resolve_sites,
     resolve_sites_scheduled,
 )
@@ -414,9 +418,11 @@ def detect(
     """Step 1 of every campaign, for :meth:`Mumak.analyze` and every fleet
     worker alike: the runs injection plans from (one, or one per schedule
     sample under ``sched``) and the first run's execution artifacts.
-    The benchmark's tracer patches ``run_instrumented`` in this module
-    and ``detect_schedules`` in its own, so both are looked up at call
-    time."""
+    The first run also records the code site of every event it traces
+    (:attr:`DetectionRun.sites`), where trace analysis finds the sites of
+    its findings.  The benchmark's tracer patches ``run_instrumented`` in
+    this module and ``detect_schedules`` in its own, so both are looked
+    up at call time."""
     if sched is not None:
         from repro.sched.campaign import detect_schedules
 
@@ -425,7 +431,7 @@ def detect(
             require_store_since_last=require_store_since_last,
         )
     tree = FailurePointTree()
-    tracer = MinimalTracer()
+    tracer = MinimalTracer(sites=True)
     observer = FailurePointObserver(
         lambda stack, event: tree.insert(stack, seq=event.seq),
         granularity=granularity,
@@ -437,7 +443,7 @@ def detect(
     run = DetectionRun(
         sched=-1, trace=tracer.events, tree=tree,
         initial_image=artifacts.initial_image,
-        candidates=observer.candidates_seen,
+        candidates=observer.candidates_seen, sites=tracer.sites,
     )
     return [run], artifacts
 
@@ -554,7 +560,8 @@ class Mumak:
                 usage.peak_tool_bytes + artifacts.machine.medium.size
             )
 
-        # Step 3: trace analysis + debug-info resolution.
+        # Step 3: trace analysis; each flagged instruction's site is the
+        # one the first run recorded for it (``trace[seq].seq == seq``).
         trace_stats = None
         if config.run_trace_analysis:
             analyzer = TraceAnalyzer(
@@ -566,23 +573,8 @@ class Mumak:
             with timer.phase("trace_analysis"):
                 with telemetry.span("campaign/trace_analysis"):
                     pending, trace_stats = analyzer.analyze(trace_events)
-                    if config.sched is not None:
-                        # Sample 0's trace was analysed; the debug-info
-                        # re-run must replay the very same interleaving.
-                        sites = resolve_sites_scheduled(
-                            app_factory,
-                            workload,
-                            config.sched,
-                            {p.seq for p in pending},
-                            seed=config.seed,
-                        )
-                    else:
-                        sites = resolve_sites(
-                            app_factory,
-                            workload,
-                            {p.seq for p in pending},
-                            seed=config.seed,
-                        )
+                    recorded = runs[0].sites
+                    sites = {p.seq: recorded[p.seq] for p in pending}
                     report.extend(findings_with_sites(pending, sites))
 
         # Observation-only export: publish the resource accounting into

@@ -19,9 +19,14 @@ patterns of misuse:
    phase only explored program order; reported as a warning.
 
 The analyser works on the *minimal* trace (opcode, args, instruction
-counter).  Sites for the flagged instructions are resolved afterwards by a
-debug re-run (:func:`resolve_sites`), mirroring the optimisation in
-section 5 of the paper.
+counter).  The pipeline takes the sites of the flagged instructions from
+the detection run, which records each event's code site beside the trace
+(:attr:`~repro.core.fault_injection.DetectionRun.sites`).  Section 5 of
+the paper keeps backtraces out of the tracing run and maps the flagged
+counters back to code with a second, lightly instrumented run; that
+re-run (:func:`resolve_sites`, :func:`resolve_sites_scheduled`) stays for
+the baseline tools and as the reference the recorded sites are tested
+against.
 """
 
 from __future__ import annotations
@@ -33,9 +38,8 @@ from repro.core.report import Finding, PHASE_TRACE_ANALYSIS
 from repro.core.taxonomy import BugKind
 from repro.instrument.backtrace import capture_site
 from repro.instrument.runner import run_instrumented
-from repro.pmem.constants import CACHE_LINE_SIZE, cache_line_of, cache_lines_spanned
+from repro.pmem.constants import cache_line_of, cache_lines_spanned
 from repro.pmem.events import FLUSHES, MemoryEvent, Opcode, WEAK_FLUSHES
-from repro.pmem.machine import VOLATILE_BASE
 
 #: Opcode groups the analysis branches on (RMW fences as part of its store).
 _CACHED_STORES = (Opcode.STORE, Opcode.RMW)

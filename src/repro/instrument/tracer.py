@@ -4,10 +4,11 @@ Three tracers mirror the Pin tools Mumak ships (paper, section 5):
 
 * :class:`MinimalTracer` — the optimised tracer: records only the opcode,
   argument(s) and instruction counter of each PM-relevant instruction.
-  This is what the trace-analysis phase consumes.
-* :class:`FullTracer` — additionally resolves the code site (and,
-  optionally, the whole filtered backtrace) of each event; the analog of
-  the debug-information re-run.
+  This is what the trace-analysis phase consumes.  On request it also
+  records each event's code site, so the findings of the trace it records
+  need no debug-information re-run.
+* :class:`FullTracer` — annotates every event with its code site (and,
+  optionally, the whole filtered backtrace).
 * :class:`FailurePointObserver` — fires a callback with the filtered call
   stack at every failure-point candidate, implementing the two granularity
   levels from section 4.1 plus the "at least one store since the last
@@ -19,6 +20,7 @@ execution paths that lead to persistency instructions and to PM stores.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, List, Optional, Set, Tuple
 
 from repro.instrument.backtrace import capture_site, capture_stack
@@ -27,13 +29,24 @@ from repro.pmem.machine import PMachine, VOLATILE_BASE
 
 
 class MinimalTracer:
-    """Appends raw events; no backtraces (cheap, deterministic)."""
+    """Appends raw events; no backtraces (cheap, deterministic).
 
-    def __init__(self):
+    With ``sites`` it also appends each event's code site (its innermost
+    target frame) to :attr:`sites`, aligned with :attr:`events`.  Sites
+    are interned, so the events of one site share one string and the
+    list costs a pointer per event.
+    """
+
+    def __init__(self, sites: bool = False):
         self.events: List[MemoryEvent] = []
+        #: ``sites[i]`` is ``events[i]``'s code site; None when not recorded.
+        self.sites: Optional[List[str]] = [] if sites else None
 
     def __call__(self, event: MemoryEvent, machine: PMachine) -> None:
         self.events.append(event)
+        sites = self.sites
+        if sites is not None:
+            sites.append(sys.intern(capture_site(skip=2)))
 
     def __len__(self) -> int:
         return len(self.events)

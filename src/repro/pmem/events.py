@@ -81,9 +81,10 @@ class MemoryEvent(NamedTuple):
         site: Opaque code-location identifier (the analog of the instruction
             address Pin reports); used to build the failure point tree.
         stack: Filtered application call stack, when backtrace collection is
-            enabled.  The minimal tracer leaves it None and a debug re-run
-            fills it in later, mirroring the paper's optimisation.  Two
-            events that differ only in ``stack`` are equal and hash alike.
+            enabled.  The minimal tracer leaves both ``site`` and
+            ``stack`` None; when asked, it records sites in a list beside
+            the events (``MinimalTracer.sites``).  Two events that differ
+            only in ``stack`` are equal and hash alike.
     """
 
     seq: int

@@ -41,8 +41,8 @@ variant, under the same ``--fault-seed``.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.pmem.constants import (

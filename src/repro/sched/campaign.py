@@ -71,7 +71,8 @@ def _detect_one(
     step_limit: Optional[int],
     deadline: Optional[float],
 ) -> Tuple[ScheduleRun, ScheduleArtifacts]:
-    tracer = MinimalTracer()
+    # Only sample 0's trace is analysed, so only it records sites.
+    tracer = MinimalTracer(sites=sample == 0)
     tree = FailurePointTree()
     occurrences: Dict[Tuple[Tuple[str, ...], str], int] = {}
     scheduler_box: Dict[str, Any] = {}
@@ -114,6 +115,7 @@ def _detect_one(
         initial_image=artifacts.initial_image,
         candidates=observer.candidates_seen,
         threads=sched.threads,
+        sites=tracer.sites,
     )
     return run, artifacts
 

@@ -46,6 +46,14 @@ class TestRunner:
         seqs = [e.seq for e in tracer.events]
         assert seqs == sorted(seqs) == list(range(len(seqs)))
 
+    def test_minimal_tracer_records_sites_only_on_request(self):
+        plain, sited = MinimalTracer(), MinimalTracer(sites=True)
+        full = FullTracer()
+        run_instrumented(factory, WORKLOAD, hooks=[plain, sited, full])
+        assert plain.sites is None
+        assert sited.events == plain.events
+        assert sited.sites == [event.site for event in full.events]
+
     def test_deterministic_traces(self):
         first, second = MinimalTracer(), MinimalTracer()
         run_instrumented(factory, WORKLOAD, hooks=[first])

@@ -621,16 +621,25 @@ def traced_pair(machines, trace_loads):
     return tracers
 
 
+#: Store to line A, then line B, then A again in place: only the in-place
+#: store's recency refresh makes B, not A, the least recently used line.
+IN_PLACE_REFRESH = [
+    ("store", 0, 8, 1), ("store", CACHE_LINE_SIZE, 8, 2), ("store", 8, 8, 3),
+]
+
+
 class TestFastPathMatchesReference:
     @settings(deadline=None, max_examples=150)
     @given(
         st.lists(fast_path_op, min_size=MIN_OPS, max_size=60),
         st.sampled_from([None, False, True]),
     )
+    @example(IN_PLACE_REFRESH, None)
     def test_matches_the_per_line_machine(self, script, trace_loads):
         """Loads, exception types, events, instruction counts and crash
         images are the reference machine's, hooked (with or without
-        traced loads) or hook-free."""
+        traced loads) or hook-free; the cache (lines, recency, dirty
+        masks), buffered flushes and medium are its after every op."""
         fast = PMachine(pm_size=FLAT_SIZE, **machine_config())
         ref = ReferenceMachine(pm_size=FLAT_SIZE, **machine_config())
         tracers = traced_pair((fast, ref), trace_loads)
@@ -652,6 +661,7 @@ class TestFastPathMatchesReference:
                 tracers = traced_pair((fast, ref), trace_loads)
                 continue
             assert outcome(fast, op) == outcome(ref, op), op
+            assert machine_state(fast) == machine_state(ref), op
         assert fast.instruction_count == ref.instruction_count
         assert fast.steps == ref.steps
         if tracers is not None:
