@@ -16,7 +16,9 @@ semantics laid out in section 2 of the Mumak paper:
 * read-modify-write atomics act as fences.
 * the cache may also evict dirty lines on its own (policy-controlled),
   which persists data nondeterministically — the reason missing-flush bugs
-  can hide.
+  can hide.  Eviction never changes what loads observe: a line dropped
+  after a weak flush is read, and refilled, from the buffered snapshot
+  until its fence.
 
 A *crash* discards every volatile structure; only the medium survives.
 
@@ -360,6 +362,10 @@ class PMachine:
                     # rewrite a *poisoned* line without faulting, the
                     # same way ``movdir64b`` clears poison on hardware.
                     line = CacheLine(base, bytes(CACHE_LINE_SIZE))
+                elif base in self._pending_flushes:
+                    # Eviction dropped this line after a weak flush: its
+                    # buffered snapshot is newer than the medium.
+                    line = CacheLine(base, self._pending_flushes[base][0])
                 else:
                     line = CacheLine(
                         base, self.medium.read(base, CACHE_LINE_SIZE)
@@ -367,8 +373,11 @@ class PMachine:
                 victim = self.cache.install(line)
                 if victim is not None:
                     # Write-back eviction: the victim's data silently
-                    # becomes durable.
+                    # becomes durable, and supersedes the older snapshot
+                    # a weak flush may have buffered for it (the fence
+                    # must not write that snapshot back over it).
                     self.medium.write(victim.base, victim.copy_data())
+                    self._pending_flushes.pop(victim.base, None)
             line.write(offset, bytes(remaining[:chunk]))
             cursor += chunk
             remaining = remaining[chunk:]
@@ -389,11 +398,16 @@ class PMachine:
         if offset + size <= CACHE_LINE_SIZE and not self._pending_nt:
             # One line, no buffered NT bytes to overlay: one lookup.
             line = self.cache._lines.get(base)
-            if line is None:
-                value = self.medium.read(address, size)
-            else:
+            if line is not None:
                 self.medium.check_bounds(address, size)
                 value = bytes(line.data[offset:offset + size])
+            elif base in self._pending_flushes:
+                # Eviction dropped the line after a weak flush: its
+                # buffered snapshot is the newest copy until the fence.
+                self.medium.check_bounds(address, size)
+                value = self._pending_flushes[base][0][offset:offset + size]
+            else:
+                value = self.medium.read(address, size)
         else:
             self.medium.check_bounds(address, size)
             value = self._load_lines(address, size)
@@ -402,11 +416,13 @@ class PMachine:
         return value
 
     def _load_lines(self, address: int, size: int) -> bytes:
-        """Read ``[address, address+size)`` line by line, cache over medium,
-        with buffered non-temporal bytes on top."""
+        """Read ``[address, address+size)`` line by line, cache over
+        buffered weak-flush snapshots (of lines eviction dropped) over
+        medium, with buffered non-temporal bytes on top."""
         result = bytearray(size)
         cursor = address
         produced = 0
+        pending = self._pending_flushes
         while produced < size:
             base = cursor & _LINE_MASK
             offset = cursor - base
@@ -414,6 +430,8 @@ class PMachine:
             line = self.cache.peek(base)
             if line is not None:
                 result[produced:produced + chunk] = line.data[offset:offset + chunk]
+            elif base in pending:
+                result[produced:produced + chunk] = pending[base][0][offset:offset + chunk]
             else:
                 result[produced:produced + chunk] = self.medium.read(cursor, chunk)
             cursor += chunk

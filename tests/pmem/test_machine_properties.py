@@ -163,6 +163,16 @@ class TestVisibilityProperties:
                 )
 
 
+#: A line evicted between its weak flush and the fence: clean (the
+#: buffered snapshot is its only copy) and, once stored to again, dirty
+#: (its write-back is newer than the snapshot the fence would write).
+EVICTED_BEFORE_FENCE = [
+    ([("store", 0, 1), ("store", 1, 2), ("clwb", 1, 1), ("store", 2, 3)], 0),
+    ([("store", 0, 1), ("clwb", 0, 1), ("store", 0, 2), ("store", 1, 3),
+      ("store", 2, 4), ("sfence", 0, 1)], 1),
+]
+
+
 class TestEvictionProperties:
     @settings(deadline=None, max_examples=30)
     @given(
@@ -187,6 +197,8 @@ class TestEvictionProperties:
         st.lists(op_strategy, min_size=MIN_OPS, max_size=60),
         st.integers(0, 50),
     )
+    @example(*EVICTED_BEFORE_FENCE[0])
+    @example(*EVICTED_BEFORE_FENCE[1])
     def test_visibility_immune_to_eviction(self, script, seed):
         """Eviction must never change what loads observe."""
         plain = PMachine(pm_size=PM_SIZE)
@@ -431,8 +443,11 @@ class ReferenceMachine(PMachine):
             chunk = min(len(remaining), CACHE_LINE_SIZE - offset)
             line = self.cache.get(base)
             if line is None:
+                pending = self._pending_flushes.get(base)
                 if offset == 0 and chunk == CACHE_LINE_SIZE:
                     line = CacheLine(base, bytes(CACHE_LINE_SIZE))
+                elif pending is not None:
+                    line = CacheLine(base, pending[0])
                 else:
                     line = CacheLine(
                         base, self.medium.read(base, CACHE_LINE_SIZE)
@@ -440,6 +455,7 @@ class ReferenceMachine(PMachine):
                 victim = self.cache.install(line)
                 if victim is not None:
                     self.medium.write(victim.base, victim.copy_data())
+                    self._pending_flushes.pop(victim.base, None)
             line.write(offset, bytes(remaining[:chunk]))
             cursor += chunk
             remaining = remaining[chunk:]
@@ -462,8 +478,11 @@ class ReferenceMachine(PMachine):
             offset = cursor - base
             chunk = min(size - produced, CACHE_LINE_SIZE - offset)
             line = self.cache.peek(base)
+            pending = self._pending_flushes.get(base)
             if line is not None:
                 result[produced:produced + chunk] = line.data[offset:offset + chunk]
+            elif pending is not None:
+                result[produced:produced + chunk] = pending[0][offset:offset + chunk]
             else:
                 result[produced:produced + chunk] = self.medium.read(cursor, chunk)
             cursor += chunk
